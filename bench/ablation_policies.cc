@@ -183,7 +183,8 @@ int main() {
         row.push_back(
             Fmt("%.3f", static_cast<double>(clock.NowNanos() - t0) * 1e-9));
       }
-      row.push_back(std::to_string(op.profile().tokenize_time.intervals()));
+      row.push_back(std::to_string(
+          op.profile().stages.chunks(scanraw::obs::Stage::kTokenize)));
       table.AddRow(std::move(row));
     }
     table.Print();

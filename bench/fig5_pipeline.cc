@@ -55,17 +55,17 @@ StageTimes MeasureColumns(size_t columns) {
     std::fprintf(stderr, "operator retired too early\n");
     std::exit(1);
   }
-  const PipelineProfile& profile = op->profile();
-  auto per_chunk = [](const Stopwatch& watch) {
-    return watch.intervals() == 0
+  const obs::StageTotals& stages = op->profile().stages;
+  auto per_chunk = [&stages](obs::Stage stage) {
+    return stages.chunks(stage) == 0
                ? 0.0
-               : watch.TotalSeconds() /
-                     static_cast<double>(watch.intervals());
+               : static_cast<double>(stages.nanos(stage)) * 1e-9 /
+                     static_cast<double>(stages.chunks(stage));
   };
-  return StageTimes{per_chunk(profile.read_time),
-                    per_chunk(profile.tokenize_time),
-                    per_chunk(profile.parse_time),
-                    per_chunk(profile.write_time)};
+  return StageTimes{per_chunk(obs::Stage::kRead),
+                    per_chunk(obs::Stage::kTokenize),
+                    per_chunk(obs::Stage::kParse),
+                    per_chunk(obs::Stage::kWrite)};
 }
 
 }  // namespace

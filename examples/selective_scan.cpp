@@ -76,7 +76,7 @@ int main() {
               "(raw chunks read so far: %llu,\nunchanged by the second "
               "query)\n\n",
               static_cast<unsigned long long>(
-                  op->profile().chunks_from_raw.load()));
+                  op->profile().Get(ProfileCounter::kChunksFromRaw)));
 
   // --- 3. statistics-based chunk skipping --------------------------------
   // Load everything first so every chunk has min/max statistics.

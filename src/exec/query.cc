@@ -114,7 +114,7 @@ Result<QueryResult> RunQuery(const QuerySpec& spec, ChunkStream* stream,
     auto next = stream->Next();
     if (!next.ok()) return next.status();
     if (!next->has_value()) break;
-    obs::SpanProfiler::Scope scope(profiler, obs::QueryStage::kEngine);
+    obs::StageScope engine({.spans = profiler}, obs::Stage::kEngine);
     SCANRAW_RETURN_IF_ERROR(executor.Consume(***next));
   }
   return executor.Finish();

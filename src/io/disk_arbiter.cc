@@ -5,11 +5,11 @@ namespace scanraw {
 void DiskArbiter::Acquire(DiskUser user) {
   const int64_t wait_start = clock_->NowNanos();
   // Heartbeat scope covers the blocking wait: a thread wedged here shows as
-  // ARBITER active with a frozen beat count, which is exactly the signature
+  // DISK_WAIT active with a frozen beat count, which is exactly the signature
   // the stall watchdog looks for.
   obs::StageHeartbeats::Scope heartbeat(
       heartbeats_.load(std::memory_order_relaxed),
-      obs::HeartbeatStage::kArbiter);
+      obs::Stage::kDiskWait);
   MutexLock lock(mu_);
   while (user_ != DiskUser::kNone) cv_.Wait(lock);
   user_ = user;
@@ -53,7 +53,7 @@ void DiskArbiter::Release(DiskUser user) {
   user_ = DiskUser::kNone;
   cv_.NotifyAll();
   obs::StageHeartbeats* hb = heartbeats_.load(std::memory_order_relaxed);
-  if (hb != nullptr) hb->Beat(obs::HeartbeatStage::kArbiter);
+  if (hb != nullptr) hb->Beat(obs::Stage::kDiskWait);
 }
 
 void DiskArbiter::BindMetrics(obs::Histogram* reader_wait,

@@ -54,10 +54,10 @@ class DiskArbiter {
                    obs::Histogram* reader_hold, obs::Histogram* writer_hold)
       EXCLUDES(mu_);
 
-  // Wires the watchdog's ARBITER stage: threads are marked active while
+  // Wires the watchdog's DISK_WAIT stage: threads are marked active while
   // blocked in Acquire and every grant/release beats, so a deadlocked
-  // READ/WRITE handoff shows up as a stalled ARBITER stage. Call before the
-  // arbiter is shared across threads; pass nullptr to detach.
+  // READ/WRITE handoff shows up as a stalled DISK_WAIT stage. Call before
+  // the arbiter is shared across threads; pass nullptr to detach.
   void BindHeartbeats(obs::StageHeartbeats* heartbeats) EXCLUDES(mu_);
 
  private:

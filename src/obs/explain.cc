@@ -31,22 +31,22 @@ void ExplainReport::FillFromProfile(const SpanProfiler::Report& report) {
   idle_seconds_total =
       std::max(0.0, wall_seconds * static_cast<double>(threads_accounted) -
                         busy_seconds_total - blocked_seconds_total);
-  critical_stage = std::string(QueryStageName(report.critical_stage));
+  critical_stage = std::string(StageName(report.critical_stage));
   critical_seconds = static_cast<double>(report.critical_covered_nanos) * 1e-9;
   critical_fraction = report.critical_fraction;
   spans_dropped = report.spans_dropped;
 
   stages.clear();
-  for (size_t s = 0; s < kNumQueryStages; ++s) {
+  for (size_t s = 0; s < kNumStages; ++s) {
     const SpanProfiler::StageStats& st = report.stages[s];
     if (st.spans == 0) continue;
     ExplainStage stage;
-    stage.name = std::string(QueryStageName(static_cast<QueryStage>(s)));
+    stage.name = std::string(StageName(static_cast<Stage>(s)));
     stage.busy_seconds = static_cast<double>(st.busy_nanos) * 1e-9;
     stage.covered_seconds = static_cast<double>(st.covered_nanos) * 1e-9;
     stage.spans = st.spans;
     stage.threads = st.threads;
-    stage.is_wait = QueryStageIsWait(static_cast<QueryStage>(s));
+    stage.is_wait = StageIsWait(static_cast<Stage>(s));
     stages.push_back(std::move(stage));
   }
 }

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +36,23 @@ void WriteAll(int fd, const char* data, size_t length) {
 
 void WriteLine(int fd, const char* line) { WriteAll(fd, line, strlen(line)); }
 
+// Dump label for a packed kind: the event name, or for a stage event the
+// lower-cased stage name.
+void KindLabel(uint64_t kind, char* out, size_t size) {
+  const auto event = static_cast<FlightEvent>(kind & 0xff);
+  if (event != FlightEvent::kStage) {
+    std::snprintf(out, size, "%s", FlightEventName(event));
+    return;
+  }
+  const std::string_view name = StageName(static_cast<Stage>(kind >> 8));
+  size_t n = 0;
+  for (; n < name.size() && n + 1 < size; ++n) {
+    out[n] = static_cast<char>(
+        std::tolower(static_cast<unsigned char>(name[n])));
+  }
+  out[n] = '\0';
+}
+
 }  // namespace
 
 const char* FlightEventName(FlightEvent event) {
@@ -42,11 +60,8 @@ const char* FlightEventName(FlightEvent event) {
     case FlightEvent::kNone: return "none";
     case FlightEvent::kQueryBegin: return "query-begin";
     case FlightEvent::kQueryEnd: return "query-end";
-    case FlightEvent::kRead: return "read";
-    case FlightEvent::kTokenize: return "tokenize";
-    case FlightEvent::kParse: return "parse";
+    case FlightEvent::kStage: return "stage";
     case FlightEvent::kDeliver: return "deliver";
-    case FlightEvent::kWrite: return "write";
     case FlightEvent::kSpeculativeTrigger: return "spec-trigger";
     case FlightEvent::kCacheEvict: return "cache-evict";
     case FlightEvent::kKillPoint: return "kill-point";
@@ -100,7 +115,7 @@ void FlightRecorder::ReleaseRing(Ring* ring) {
   ring->in_use.store(false, std::memory_order_release);
 }
 
-void FlightRecorder::Record(FlightEvent event, uint64_t a, uint64_t b) {
+void FlightRecorder::RecordPacked(uint64_t kind, uint64_t a, uint64_t b) {
   FlightRecorderTlsHandle& handle = tls_handle;
   if (handle.ring == nullptr || handle.owner != this) {
     handle.ring = ClaimRing();
@@ -118,8 +133,7 @@ void FlightRecorder::Record(FlightEvent event, uint64_t a, uint64_t b) {
   // Relaxed stores: a dump racing these may see one torn event, which a
   // crash artifact tolerates; atomics keep the race defined (TSan-clean).
   slot.ts_nanos.store(NowNanos(), std::memory_order_relaxed);
-  slot.packed.store((static_cast<uint64_t>(CurrentThreadId()) << 8) |
-                        static_cast<uint64_t>(event),
+  slot.packed.store((static_cast<uint64_t>(CurrentThreadId()) << 16) | kind,
                     std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
@@ -149,17 +163,20 @@ void FlightRecorder::DumpTo(int fd) const {
     for (uint64_t i = total - count; i < total; ++i) {
       const Slot& slot = ring.slots[i % kRingEvents];
       const uint64_t packed = slot.packed.load(std::memory_order_relaxed);
-      const FlightEvent event = static_cast<FlightEvent>(packed & 0xff);
-      if (event == FlightEvent::kNone) continue;
+      if (static_cast<FlightEvent>(packed & 0xff) == FlightEvent::kNone) {
+        continue;
+      }
+      char label[16];
+      KindLabel(packed & 0xffff, label, sizeof(label));
       const uint64_t ts = slot.ts_nanos.load(std::memory_order_relaxed);
       const uint64_t age_us = ts <= now ? (now - ts) / 1000 : 0;
       std::snprintf(
           line, sizeof(line),
           "  tid=%llu -%8llu.%03llums %-12s a=%llu b=%llu\n",
-          static_cast<unsigned long long>(packed >> 8),
+          static_cast<unsigned long long>(packed >> 16),
           static_cast<unsigned long long>(age_us / 1000),
           static_cast<unsigned long long>(age_us % 1000),
-          FlightEventName(event),
+          label,
           static_cast<unsigned long long>(
               slot.a.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(

@@ -23,6 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "obs/stage.h"
+
 namespace scanraw {
 namespace obs {
 
@@ -30,11 +32,8 @@ enum class FlightEvent : uint8_t {
   kNone = 0,
   kQueryBegin,
   kQueryEnd,
-  kRead,
-  kTokenize,
-  kParse,
+  kStage,  // a StageScope event; the Stage rides in the packed word
   kDeliver,
-  kWrite,
   kSpeculativeTrigger,
   kCacheEvict,
   kKillPoint,
@@ -54,7 +53,16 @@ class FlightRecorder {
   // Appends one event to the calling thread's ring. Lock-free and
   // allocation-free; silently drops (with a counter) if more than
   // kNumRings threads record at once.
-  void Record(FlightEvent event, uint64_t a = 0, uint64_t b = 0);
+  void Record(FlightEvent event, uint64_t a = 0, uint64_t b = 0) {
+    RecordPacked(static_cast<uint64_t>(event), a, b);
+  }
+  // A stage event (a = chunk index, b = bytes or rows handled); the dump
+  // names it after the stage, lower-cased ("read", "tokenize", ...).
+  void Record(Stage stage, uint64_t a, uint64_t b) {
+    RecordPacked((static_cast<uint64_t>(stage) << 8) |
+                     static_cast<uint64_t>(FlightEvent::kStage),
+                 a, b);
+  }
 
   // Writes a human-readable dump of every non-empty ring to `fd` using raw
   // write(2). Safe to call while other threads record.
@@ -86,7 +94,7 @@ class FlightRecorder {
 
   struct Slot {
     std::atomic<uint64_t> ts_nanos{0};
-    std::atomic<uint64_t> packed{0};  // (thread_id << 8) | event type
+    std::atomic<uint64_t> packed{0};  // (thread_id << 16) | kind
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
   };
@@ -99,6 +107,9 @@ class FlightRecorder {
   };
 
   FlightRecorder() = default;
+
+  // `kind` is (stage << 8) | event type.
+  void RecordPacked(uint64_t kind, uint64_t a, uint64_t b);
 
   Ring* ClaimRing();
   void ReleaseRing(Ring* ring);
@@ -113,6 +124,9 @@ class FlightRecorder {
 // Convenience for pipeline call sites.
 inline void FlightRecord(FlightEvent event, uint64_t a = 0, uint64_t b = 0) {
   FlightRecorder::Global()->Record(event, a, b);
+}
+inline void FlightRecord(Stage stage, uint64_t a, uint64_t b) {
+  FlightRecorder::Global()->Record(stage, a, b);
 }
 
 }  // namespace obs

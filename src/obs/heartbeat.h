@@ -1,11 +1,11 @@
 // Per-stage liveness heartbeats for the stall watchdog. Each pipeline stage
-// (READ, TOKENIZE, PARSE, WRITE, plus the DiskArbiter's blocking waits)
-// ticks a relaxed atomic counter whenever it makes progress and marks
-// itself active while it has work in flight. The watchdog samples the
+// (READ, TOKENIZE, PARSE, WRITE, plus the DiskArbiter's blocking waits,
+// DISK_WAIT) ticks a relaxed atomic counter whenever it makes progress and
+// marks itself active while it has work in flight. The watchdog samples the
 // counters from its own thread: a stage that is active but whose beat count
-// stops moving for a whole window is stalled. Header-only and dependency
-// free so both the io layer (DiskArbiter) and the core pipeline can beat
-// into the same instance without linking anything new; the hot path cost is
+// stops moving for a whole window is stalled. Header-only so both the io
+// layer (DiskArbiter) and the core pipeline can beat into the same
+// instance without linking anything new; the hot path cost is
 // one relaxed fetch_add per chunk-stage, far below the per-row work.
 #ifndef SCANRAW_OBS_HEARTBEAT_H_
 #define SCANRAW_OBS_HEARTBEAT_H_
@@ -13,40 +13,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
+
+#include "obs/stage.h"
 
 namespace scanraw {
 namespace obs {
 
-// Watchdog-visible stages. Coarser than QueryStage: the watchdog cares
-// about which loop is wedged, not per-query attribution.
-enum class HeartbeatStage : uint8_t {
-  kRead = 0,
-  kTokenize = 1,
-  kParse = 2,
-  kWrite = 3,
-  kArbiter = 4,  // threads blocked acquiring the disk
-};
-
-inline constexpr size_t kNumHeartbeatStages = 5;
-
-inline std::string_view HeartbeatStageName(HeartbeatStage stage) {
-  switch (stage) {
-    case HeartbeatStage::kRead:
-      return "READ";
-    case HeartbeatStage::kTokenize:
-      return "TOKENIZE";
-    case HeartbeatStage::kParse:
-      return "PARSE";
-    case HeartbeatStage::kWrite:
-      return "WRITE";
-    case HeartbeatStage::kArbiter:
-      return "ARBITER";
-  }
-  return "UNKNOWN";
-}
-
-// Shared heartbeat board. All operations are relaxed atomics: the watchdog
+// Shared heartbeat board, one slot per Stage (the watchdog reads the
+// kWatchedStages slots). All operations are relaxed atomics: the watchdog
 // tolerates slightly stale reads (it waits a whole window before alarming),
 // and stages must never pay a fence for liveness accounting.
 class StageHeartbeats {
@@ -56,36 +30,36 @@ class StageHeartbeats {
   StageHeartbeats& operator=(const StageHeartbeats&) = delete;
 
   // A thread entered the stage (has work in flight). Counts as progress.
-  void Enter(HeartbeatStage stage) {
+  void Enter(Stage stage) {
     Slot& s = slot(stage);
     s.active.fetch_add(1, std::memory_order_relaxed);
     s.beats.fetch_add(1, std::memory_order_relaxed);
   }
 
   // The thread left the stage. Counts as progress (finishing is progress).
-  void Leave(HeartbeatStage stage) {
+  void Leave(Stage stage) {
     Slot& s = slot(stage);
     s.beats.fetch_add(1, std::memory_order_relaxed);
     s.active.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // The stage made forward progress (consumed a chunk, wrote a buffer, ...).
-  void Beat(HeartbeatStage stage) {
+  void Beat(Stage stage) {
     slot(stage).beats.fetch_add(1, std::memory_order_relaxed);
   }
 
-  uint64_t beats(HeartbeatStage stage) const {
+  uint64_t beats(Stage stage) const {
     return slot(stage).beats.load(std::memory_order_relaxed);
   }
   // Number of threads currently inside the stage.
-  int64_t active(HeartbeatStage stage) const {
+  int64_t active(Stage stage) const {
     return slot(stage).active.load(std::memory_order_relaxed);
   }
 
   // RAII Enter/Leave. Null-safe so call sites need no telemetry guard.
   class Scope {
    public:
-    Scope(StageHeartbeats* hb, HeartbeatStage stage) : hb_(hb), stage_(stage) {
+    Scope(StageHeartbeats* hb, Stage stage) : hb_(hb), stage_(stage) {
       if (hb_ != nullptr) hb_->Enter(stage_);
     }
     ~Scope() {
@@ -96,7 +70,7 @@ class StageHeartbeats {
 
    private:
     StageHeartbeats* hb_;
-    HeartbeatStage stage_;
+    Stage stage_;
   };
 
  private:
@@ -105,14 +79,12 @@ class StageHeartbeats {
     std::atomic<int64_t> active{0};
   };
 
-  Slot& slot(HeartbeatStage stage) {
-    return slots_[static_cast<size_t>(stage)];
-  }
-  const Slot& slot(HeartbeatStage stage) const {
+  Slot& slot(Stage stage) { return slots_[static_cast<size_t>(stage)]; }
+  const Slot& slot(Stage stage) const {
     return slots_[static_cast<size_t>(stage)];
   }
 
-  Slot slots_[kNumHeartbeatStages];
+  Slot slots_[kNumStages];
 };
 
 }  // namespace obs

@@ -121,7 +121,9 @@ void ProgressReporter::Loop() {
   while (true) {
     {
       MutexLock lock(mu_);
-      cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
+      // Checked first: a Stop() that lands before this wait must not cost
+      // a whole interval.
+      if (!stop_) cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
       if (stop_) return;
     }
     if (callback_) callback_(tracker_->Snapshot());

@@ -126,7 +126,9 @@ void ResourceSampler::Loop() {
   while (true) {
     {
       MutexLock lock(mu_);
-      cv_.WaitFor(lock, interval_);
+      // Checked first: a Stop() that lands before this wait must not cost
+      // a whole interval.
+      if (!stop_) cv_.WaitFor(lock, interval_);
       if (stop_) return;
     }
     log_->Append(probe_());

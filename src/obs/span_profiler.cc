@@ -2,34 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 
 namespace scanraw {
 namespace obs {
-
-std::string_view QueryStageName(QueryStage stage) {
-  switch (stage) {
-    case QueryStage::kRead:
-      return "READ";
-    case QueryStage::kTokenize:
-      return "TOKENIZE";
-    case QueryStage::kParse:
-      return "PARSE";
-    case QueryStage::kWrite:
-      return "WRITE";
-    case QueryStage::kCacheHit:
-      return "CACHE_HIT";
-    case QueryStage::kHeapScan:
-      return "HEAP_SCAN";
-    case QueryStage::kEngine:
-      return "ENGINE";
-    case QueryStage::kDiskWait:
-      return "DISK_WAIT";
-    case QueryStage::kThrottleWait:
-      return "THROTTLE_WAIT";
-  }
-  return "UNKNOWN";
-}
 
 SpanProfiler::SpanProfiler(const Clock* clock, size_t max_spans_per_stage)
     : clock_(clock), max_spans_per_stage_(max_spans_per_stage) {
@@ -51,7 +26,7 @@ int64_t SpanProfiler::start_nanos() const {
   return begin_nanos_;
 }
 
-void SpanProfiler::RecordSpan(QueryStage stage, uint32_t tid,
+void SpanProfiler::RecordSpan(Stage stage, uint32_t tid,
                               int64_t start_nanos, int64_t dur_nanos) {
   if (dur_nanos < 0) dur_nanos = 0;
   const size_t s = static_cast<size_t>(stage);
@@ -65,17 +40,6 @@ void SpanProfiler::RecordSpan(QueryStage stage, uint32_t tid,
   } else {
     ++dropped_;
   }
-}
-
-SpanProfiler::Scope::Scope(SpanProfiler* profiler, QueryStage stage)
-    : profiler_(profiler),
-      stage_(stage),
-      start_nanos_(profiler != nullptr ? profiler->clock_->NowNanos() : 0) {}
-
-SpanProfiler::Scope::~Scope() {
-  if (profiler_ == nullptr) return;
-  const int64_t dur = profiler_->clock_->NowNanos() - start_nanos_;
-  profiler_->RecordSpan(stage_, CurrentThreadId(), start_nanos_, dur);
 }
 
 namespace {
@@ -110,7 +74,7 @@ int64_t IntervalUnionNanos(std::vector<SpanProfiler::Span> spans) {
 
 SpanProfiler::Report SpanProfiler::Aggregate() const {
   Report report;
-  std::array<std::vector<Span>, kNumQueryStages> spans_copy;
+  std::array<std::vector<Span>, kNumStages> spans_copy;
   std::set<uint32_t> all_tids;
   {
     MutexLock lock(mu_);
@@ -119,22 +83,22 @@ SpanProfiler::Report SpanProfiler::Aggregate() const {
     report.wall_nanos = std::max<int64_t>(0, end - begin_nanos_);
     report.stages = totals_;
     report.spans_dropped = dropped_;
-    for (size_t s = 0; s < kNumQueryStages; ++s) {
+    for (size_t s = 0; s < kNumStages; ++s) {
       report.stages[s].threads = stage_tids_[s].size();
       all_tids.insert(stage_tids_[s].begin(), stage_tids_[s].end());
       spans_copy[s] = spans_[s];
     }
   }
   report.distinct_threads = all_tids.size();
-  for (size_t s = 0; s < kNumQueryStages; ++s) {
+  for (size_t s = 0; s < kNumStages; ++s) {
     report.stages[s].covered_nanos = IntervalUnionNanos(std::move(spans_copy[s]));
-    if (QueryStageIsWait(static_cast<QueryStage>(s))) {
+    if (StageIsWait(static_cast<Stage>(s))) {
       report.blocked_nanos_total += report.stages[s].busy_nanos;
     } else {
       report.busy_nanos_total += report.stages[s].busy_nanos;
       if (report.stages[s].covered_nanos > report.critical_covered_nanos) {
         report.critical_covered_nanos = report.stages[s].covered_nanos;
-        report.critical_stage = static_cast<QueryStage>(s);
+        report.critical_stage = static_cast<Stage>(s);
       }
     }
   }

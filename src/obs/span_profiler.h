@@ -22,40 +22,12 @@
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
+#include "obs/stage.h"
 
 namespace scanraw {
 namespace obs {
 
-// Per-query stage taxonomy. The first group is busy work; the kWait group
-// records time a stage spent blocked, split so critical-path attribution
-// can distinguish disk-bound waits (the bandwidth limiter emulating the
-// device) from contention-bound waits (READ and WRITE arbitrating one
-// disk).
-enum class QueryStage : uint8_t {
-  kRead = 0,
-  kTokenize = 1,
-  kParse = 2,
-  kWrite = 3,
-  kCacheHit = 4,  // delivering a binary chunk straight from the cache
-  kHeapScan = 5,  // database-resident scan (retired-operator path)
-  kEngine = 6,    // execution-engine consume time
-  // Wait categories (blocked, not busy).
-  kDiskWait = 7,      // blocked in the DiskArbiter (READ/WRITE contention)
-  kThrottleWait = 8,  // blocked in the RateLimiter (emulated device busy)
-};
-
-inline constexpr size_t kNumQueryStages = 9;
-inline constexpr size_t kFirstWaitStage =
-    static_cast<size_t>(QueryStage::kDiskWait);
-
-std::string_view QueryStageName(QueryStage stage);
-
-// True for the blocked (wait) categories.
-inline bool QueryStageIsWait(QueryStage stage) {
-  return static_cast<size_t>(stage) >= kFirstWaitStage;
-}
-
-class SpanProfiler {
+class SpanProfiler final : public SpanSink {
  public:
   struct Span {
     uint32_t tid = 0;
@@ -73,11 +45,11 @@ class SpanProfiler {
 
   struct Report {
     int64_t wall_nanos = 0;
-    std::array<StageStats, kNumQueryStages> stages;
+    std::array<StageStats, kNumStages> stages;
     // The busy stage with the largest wall-clock footprint: it had work in
     // flight for more of the query than any other stage, so shrinking it
     // moves the finish line.
-    QueryStage critical_stage = QueryStage::kRead;
+    Stage critical_stage = Stage::kRead;
     int64_t critical_covered_nanos = 0;
     double critical_fraction = 0.0;  // covered / wall
     int64_t busy_nanos_total = 0;    // across busy stages
@@ -98,22 +70,9 @@ class SpanProfiler {
   // uses "now" when End was never called.
   void End() EXCLUDES(mu_);
 
-  void RecordSpan(QueryStage stage, uint32_t tid, int64_t start_nanos,
-                  int64_t dur_nanos) EXCLUDES(mu_);
-
-  // RAII helper: times its scope on the current thread.
-  class Scope {
-   public:
-    Scope(SpanProfiler* profiler, QueryStage stage);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    SpanProfiler* profiler_;
-    QueryStage stage_;
-    int64_t start_nanos_;
-  };
+  // Stage events reach this through StageScope (obs/stage.h).
+  void RecordSpan(Stage stage, uint32_t tid, int64_t start_nanos,
+                  int64_t dur_nanos) override EXCLUDES(mu_);
 
   Report Aggregate() const EXCLUDES(mu_);
 
@@ -125,9 +84,9 @@ class SpanProfiler {
   mutable Mutex mu_{LockRank::kSpanProfiler, "SpanProfiler.mu"};
   int64_t begin_nanos_ GUARDED_BY(mu_) = 0;
   int64_t end_nanos_ GUARDED_BY(mu_) = 0;  // 0 = not ended
-  std::array<std::vector<Span>, kNumQueryStages> spans_ GUARDED_BY(mu_);
-  std::array<StageStats, kNumQueryStages> totals_ GUARDED_BY(mu_);
-  std::array<std::set<uint32_t>, kNumQueryStages> stage_tids_ GUARDED_BY(mu_);
+  std::array<std::vector<Span>, kNumStages> spans_ GUARDED_BY(mu_);
+  std::array<StageStats, kNumStages> totals_ GUARDED_BY(mu_);
+  std::array<std::set<uint32_t>, kNumStages> stage_tids_ GUARDED_BY(mu_);
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
 };
 

@@ -289,17 +289,15 @@ std::string StatsServer::RenderMetrics() const {
 
   // Stage liveness from the heartbeat board.
   out += "# TYPE scanraw_stage_active gauge\n";
-  for (size_t i = 0; i < kNumHeartbeatStages; ++i) {
-    const auto stage = static_cast<HeartbeatStage>(i);
-    out += "scanraw_stage_active{stage=\"" +
-           std::string(HeartbeatStageName(stage)) + "\"} " +
-           std::to_string(telemetry->heartbeats().active(stage)) + "\n";
+  for (const Stage stage : kWatchedStages) {
+    out += "scanraw_stage_active{stage=\"" + std::string(StageName(stage)) +
+           "\"} " + std::to_string(telemetry->heartbeats().active(stage)) +
+           "\n";
   }
   out += "# TYPE scanraw_stage_beats_total counter\n";
-  for (size_t i = 0; i < kNumHeartbeatStages; ++i) {
-    const auto stage = static_cast<HeartbeatStage>(i);
+  for (const Stage stage : kWatchedStages) {
     out += "scanraw_stage_beats_total{stage=\"" +
-           std::string(HeartbeatStageName(stage)) + "\"} " +
+           std::string(StageName(stage)) + "\"} " +
            std::to_string(telemetry->heartbeats().beats(stage)) + "\n";
   }
 
@@ -328,7 +326,7 @@ std::string StatsServer::RenderStatusz() const {
            "\n";
     for (const auto& report : options_.watchdog->Reports()) {
       out += "  stall: stage=" +
-             std::string(HeartbeatStageName(report.stage)) +
+             std::string(StageName(report.stage)) +
              " stalled_ms=" + std::to_string(report.stalled_ms) +
              " active=" + std::to_string(report.active) + "\n";
       if (!report.held_locks.empty()) {
@@ -345,9 +343,8 @@ std::string StatsServer::RenderStatusz() const {
 
   Telemetry* telemetry = options_.telemetry;
   out += "\nstage liveness (active threads / total beats):\n";
-  for (size_t i = 0; i < kNumHeartbeatStages; ++i) {
-    const auto stage = static_cast<HeartbeatStage>(i);
-    out += "  " + std::string(HeartbeatStageName(stage)) + ": " +
+  for (const Stage stage : kWatchedStages) {
+    out += "  " + std::string(StageName(stage)) + ": " +
            std::to_string(telemetry->heartbeats().active(stage)) + " / " +
            std::to_string(telemetry->heartbeats().beats(stage)) + "\n";
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/metrics.h"
+
 namespace scanraw {
 namespace obs {
 
@@ -12,36 +14,10 @@ uint32_t CurrentThreadId() {
   return id;
 }
 
-std::string_view TraceStageName(TraceStage stage) {
-  switch (stage) {
-    case TraceStage::kRead:
-      return "READ";
-    case TraceStage::kTokenize:
-      return "TOKENIZE";
-    case TraceStage::kParse:
-      return "PARSE";
-    case TraceStage::kWrite:
-      return "WRITE";
-    case TraceStage::kSpeculativeTrigger:
-      return "SPECULATIVE_TRIGGER";
-    case TraceStage::kSafeguardFlush:
-      return "SAFEGUARD_FLUSH";
-    case TraceStage::kReadBlocked:
-      return "READ_BLOCKED";
-  }
-  return "UNKNOWN";
-}
-
-std::string_view ChunkSourceName(ChunkSource source) {
-  switch (source) {
-    case ChunkSource::kRaw:
-      return "raw";
-    case ChunkSource::kCache:
-      return "cache";
-    case ChunkSource::kDb:
-      return "db";
-  }
-  return "unknown";
+std::string_view TraceInstantName(TraceInstant instant) {
+  static constexpr std::string_view kNames[] = {
+      "NONE", "SPECULATIVE_TRIGGER", "SAFEGUARD_FLUSH", "READ_BLOCKED"};
+  return kNames[static_cast<size_t>(instant)];
 }
 
 ChunkTracer::ChunkTracer(size_t capacity) : capacity_(capacity) {
@@ -65,23 +41,17 @@ void ChunkTracer::Record(const TraceEvent& event) {
   ++next_;
 }
 
-void ChunkTracer::RecordSpan(TraceStage stage, ChunkSource source,
+void ChunkTracer::RecordSpan(Stage stage, ChunkSource source,
                              uint64_t chunk_index, int64_t start_nanos,
                              int64_t dur_nanos) {
-  if (capacity_ == 0) return;
-  TraceEvent event;
-  event.stage = stage;
-  event.source = source;
-  event.chunk_index = chunk_index;
-  event.tid = CurrentThreadId();
-  event.start_nanos = start_nanos;
-  event.dur_nanos = dur_nanos;
-  Record(event);
+  Record(TraceEvent{stage, TraceInstant::kNone, source, chunk_index,
+                    CurrentThreadId(), start_nanos, dur_nanos});
 }
 
-void ChunkTracer::RecordInstant(TraceStage stage, uint64_t chunk_index,
+void ChunkTracer::RecordInstant(TraceInstant instant, uint64_t chunk_index,
                                 const Clock* clock) {
-  RecordSpan(stage, ChunkSource::kRaw, chunk_index, clock->NowNanos(), 0);
+  Record(TraceEvent{Stage::kRead, instant, ChunkSource::kRaw, chunk_index,
+                    CurrentThreadId(), clock->NowNanos(), 0});
 }
 
 std::vector<TraceEvent> ChunkTracer::Snapshot() const {
@@ -129,9 +99,9 @@ std::string ChunkTracer::ToChromeTraceJson() const {
   for (const TraceEvent& e : events) {
     if (!first) out += ",\n";
     first = false;
-    const bool instant = e.stage >= TraceStage::kSpeculativeTrigger;
+    const bool instant = e.instant != TraceInstant::kNone;
     out += "{\"name\":\"";
-    out += TraceStageName(e.stage);
+    out += instant ? TraceInstantName(e.instant) : StageName(e.stage);
     out += "\",\"cat\":\"scanraw\",\"ph\":\"";
     out += instant ? "i" : "X";
     out += "\",\"ts\":" + std::to_string((e.start_nanos - epoch) / 1000);

@@ -16,7 +16,7 @@
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
+#include "obs/stage.h"
 
 namespace scanraw {
 namespace obs {
@@ -25,26 +25,19 @@ namespace obs {
 // lifetime (first call assigns the next free id).
 uint32_t CurrentThreadId();
 
-enum class TraceStage : uint8_t {
-  kRead = 0,
-  kTokenize = 1,
-  kParse = 2,
-  kWrite = 3,
-  // Instant events (duration 0): scheduler decisions.
-  kSpeculativeTrigger = 4,
-  kSafeguardFlush = 5,
-  kReadBlocked = 6,
+// Instant events (duration 0): scheduler decisions.
+enum class TraceInstant : uint8_t {
+  kNone = 0,  // a stage span
+  kSpeculativeTrigger,
+  kSafeguardFlush,
+  kReadBlocked,
 };
 
-std::string_view TraceStageName(TraceStage stage);
-
-// Where the chunk's bytes came from (§3.2.1 delivery order).
-enum class ChunkSource : uint8_t { kRaw = 0, kCache = 1, kDb = 2 };
-
-std::string_view ChunkSourceName(ChunkSource source);
+std::string_view TraceInstantName(TraceInstant instant);
 
 struct TraceEvent {
-  TraceStage stage = TraceStage::kRead;
+  Stage stage = Stage::kRead;                  // span events
+  TraceInstant instant = TraceInstant::kNone;  // instant events
   ChunkSource source = ChunkSource::kRaw;
   uint64_t chunk_index = 0;
   uint32_t tid = 0;
@@ -65,12 +58,10 @@ class ChunkTracer {
   void SetLabel(std::string label) EXCLUDES(mu_);
   std::string label() const EXCLUDES(mu_);
 
-  void Record(const TraceEvent& event) EXCLUDES(mu_);
-
-  // Convenience: stamps tid and start time (end - duration) itself.
-  void RecordSpan(TraceStage stage, ChunkSource source, uint64_t chunk_index,
+  // Both stamp the calling thread's id; an instant is stamped "now".
+  void RecordSpan(Stage stage, ChunkSource source, uint64_t chunk_index,
                   int64_t start_nanos, int64_t dur_nanos);
-  void RecordInstant(TraceStage stage, uint64_t chunk_index,
+  void RecordInstant(TraceInstant instant, uint64_t chunk_index,
                      const Clock* clock = RealClock::Instance());
 
   // Events in record order, oldest surviving first.
@@ -86,57 +77,14 @@ class ChunkTracer {
   std::string ToChromeTraceJson() const EXCLUDES(mu_);
 
  private:
+  void Record(const TraceEvent& event) EXCLUDES(mu_);
+
   const size_t capacity_;
   mutable Mutex mu_{LockRank::kChunkTracer, "ChunkTracer.mu"};
   std::string label_ GUARDED_BY(mu_);
   std::vector<TraceEvent> ring_ GUARDED_BY(mu_);
   // Total recorded; ring slot is next_ % capacity_.
   uint64_t next_ GUARDED_BY(mu_) = 0;
-};
-
-// RAII span: times its scope and records it into the tracer and (when
-// non-null) a latency histogram on destruction. The chunk index is usually
-// known only mid-scope; set it via set_chunk_index.
-class SpanRecorder {
- public:
-  SpanRecorder(ChunkTracer* tracer, Histogram* latency, TraceStage stage,
-               ChunkSource source, uint64_t chunk_index = 0,
-               const Clock* clock = RealClock::Instance())
-      : tracer_(tracer),
-        latency_(latency),
-        clock_(clock),
-        stage_(stage),
-        source_(source),
-        chunk_index_(chunk_index),
-        start_nanos_(clock->NowNanos()) {}
-
-  ~SpanRecorder() {
-    const int64_t dur = clock_->NowNanos() - start_nanos_;
-    if (latency_ != nullptr) {
-      latency_->Record(static_cast<uint64_t>(dur < 0 ? 0 : dur));
-    }
-    if (tracer_ != nullptr && !cancelled_) {
-      tracer_->RecordSpan(stage_, source_, chunk_index_, start_nanos_, dur);
-    }
-  }
-
-  SpanRecorder(const SpanRecorder&) = delete;
-  SpanRecorder& operator=(const SpanRecorder&) = delete;
-
-  void set_chunk_index(uint64_t index) { chunk_index_ = index; }
-  void set_source(ChunkSource source) { source_ = source; }
-  // Suppress the trace event (the latency histogram still records).
-  void Cancel() { cancelled_ = true; }
-
- private:
-  ChunkTracer* tracer_;
-  Histogram* latency_;
-  const Clock* clock_;
-  TraceStage stage_;
-  ChunkSource source_;
-  uint64_t chunk_index_;
-  int64_t start_nanos_;
-  bool cancelled_ = false;
 };
 
 }  // namespace obs

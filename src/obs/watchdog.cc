@@ -61,9 +61,8 @@ void Watchdog::CheckNow() {
   const int64_t now = options_.clock->NowNanos();
   const int64_t window_nanos = options_.window_ms * 1'000'000;
   MutexLock lock(mu_);
-  for (size_t i = 0; i < kNumHeartbeatStages; ++i) {
-    const auto stage = static_cast<HeartbeatStage>(i);
-    StageState& state = stages_[i];
+  for (const Stage stage : kWatchedStages) {
+    StageState& state = stages_[static_cast<size_t>(stage)];
     const uint64_t beats = heartbeats_->beats(stage);
     const int64_t active = heartbeats_->active(stage);
     if (beats != state.last_beats || active <= 0) {
@@ -98,7 +97,7 @@ void Watchdog::ReportStall(const StallReport& report) {
   LOG_ERROR(
       "watchdog: stage %s stalled for %lld ms (beats frozen at %llu, "
       "%lld thread(s) inside); dumping flight recorder%s",
-      std::string(HeartbeatStageName(report.stage)).c_str(),
+      std::string(StageName(report.stage)).c_str(),
       static_cast<long long>(report.stalled_ms),
       static_cast<unsigned long long>(report.beats),
       static_cast<long long>(report.active),

@@ -41,7 +41,7 @@ struct WatchdogOptions {
 class Watchdog {
  public:
   struct StallReport {
-    HeartbeatStage stage = HeartbeatStage::kRead;
+    Stage stage = Stage::kRead;
     int64_t ts_nanos = 0;
     int64_t stalled_ms = 0;   // how long the stage had made no progress
     uint64_t beats = 0;       // beat count frozen at this value
@@ -92,7 +92,7 @@ class Watchdog {
     int64_t no_progress_since_nanos = 0;  // 0 = progressing
     bool alarmed = false;  // suppress re-alarm until progress resumes
   };
-  StageState stages_[kNumHeartbeatStages] GUARDED_BY(mu_);
+  StageState stages_[kNumStages] GUARDED_BY(mu_);  // by Stage
   std::vector<StallReport> reports_ GUARDED_BY(mu_);  // bounded
 };
 

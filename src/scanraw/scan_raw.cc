@@ -66,57 +66,74 @@ ResourceSnapshot::Advice ResourceSnapshot::ComputeAdvice() const {
   return Advice::kBalanced;
 }
 
+namespace {
+
+// Registry names of the ProfileCounter table, in enum order.
+constexpr std::array<std::string_view, kNumProfileCounters>
+    kProfileCounterNames = {
+        "scanraw.chunks_from_cache",
+        "scanraw.chunks_from_db",
+        "scanraw.chunks_from_raw",
+        "scanraw.chunks_written",
+        "scanraw.chunks_skipped",
+        "scanraw.read_blocked_events",
+        "scanraw.speculative_triggers",
+        "scanraw.write_failures",
+        "scanraw.write_backoffs",
+        "scanraw.useful_bytes_written",
+        "scanraw.rows_delivered",
+        "scanraw.bytes_converted",
+        "scanraw.tokenize.ranges",
+        "scanraw.tokenize.misspeculations",
+        "scanraw.tokenize.repair_bytes",
+        "scanraw.tokenize.bytes",
+        "scanraw.posmap.disk_chunks",
+};
+static_assert(!kProfileCounterNames.back().empty(), "one name per counter");
+
+// Per-chunk stage latency histograms (nanoseconds).
+constexpr std::pair<obs::Stage, std::string_view> kStageHistograms[] = {
+    {obs::Stage::kRead, "scanraw.stage.read_nanos"},
+    {obs::Stage::kTokenize, "scanraw.stage.tokenize_nanos"},
+    {obs::Stage::kParse, "scanraw.stage.parse_nanos"},
+    {obs::Stage::kWrite, "scanraw.stage.write_nanos"},
+};
+
+}  // namespace
+
+PipelineProfile::Counts PipelineProfile::Counts::operator-(
+    const Counts& base) const {
+  Counts diff;
+  for (size_t i = 0; i < kNumProfileCounters; ++i) {
+    diff.values[i] = values[i] - base.values[i];
+  }
+  return diff;
+}
+
+PipelineProfile::Counts PipelineProfile::Snapshot() const {
+  Counts counts;
+  for (size_t i = 0; i < kNumProfileCounters; ++i) {
+    counts.values[i] = counters_[i].load();
+  }
+  return counts;
+}
+
 void PipelineProfile::Bind(obs::MetricsRegistry* registry) {
-  read_latency = registry->GetHistogram("scanraw.stage.read_nanos");
-  tokenize_latency = registry->GetHistogram("scanraw.stage.tokenize_nanos");
-  parse_latency = registry->GetHistogram("scanraw.stage.parse_nanos");
-  write_latency = registry->GetHistogram("scanraw.stage.write_nanos");
-  from_cache_metric = registry->GetCounter("scanraw.chunks_from_cache");
-  from_db_metric = registry->GetCounter("scanraw.chunks_from_db");
-  from_raw_metric = registry->GetCounter("scanraw.chunks_from_raw");
-  written_metric = registry->GetCounter("scanraw.chunks_written");
-  skipped_metric = registry->GetCounter("scanraw.chunks_skipped");
-  read_blocked_metric = registry->GetCounter("scanraw.read_blocked_events");
-  speculative_metric = registry->GetCounter("scanraw.speculative_triggers");
-  write_failures_metric = registry->GetCounter("scanraw.write_failures");
-  write_backoff_metric = registry->GetCounter("scanraw.write_backoffs");
-  useful_bytes_metric = registry->GetCounter("scanraw.useful_bytes_written");
-  rows_delivered_metric = registry->GetCounter("scanraw.rows_delivered");
-  bytes_converted_metric = registry->GetCounter("scanraw.bytes_converted");
-  tokenize_ranges_metric = registry->GetCounter("scanraw.tokenize.ranges");
-  tokenize_misspec_metric =
-      registry->GetCounter("scanraw.tokenize.misspeculations");
-  tokenize_repair_metric =
-      registry->GetCounter("scanraw.tokenize.repair_bytes");
-  bytes_tokenized_metric = registry->GetCounter("scanraw.tokenize.bytes");
-  posmap_disk_metric = registry->GetCounter("scanraw.posmap.disk_chunks");
+  for (const auto& [stage, name] : kStageHistograms) {
+    stages.BindHistogram(stage, registry->GetHistogram(name));
+  }
+  for (size_t i = 0; i < kNumProfileCounters; ++i) {
+    mirrors_[i] = registry->GetCounter(kProfileCounterNames[i]);
+  }
 }
 
 void PipelineProfile::Reset() {
-  read_time.Reset();
-  tokenize_time.Reset();
-  parse_time.Reset();
-  write_time.Reset();
-  chunks_from_cache = chunks_from_db = chunks_from_raw = chunks_written = 0;
-  chunks_skipped = read_blocked_events = speculative_triggers = 0;
-  write_failures = write_backoffs = useful_bytes_written = 0;
-  rows_delivered = bytes_converted = 0;
-  tokenize_ranges = tokenize_misspeculations = tokenize_repair_bytes = 0;
-  bytes_tokenized = posmap_disk_chunks = 0;
   // Registry mirrors follow the same single-threaded-reset contract; the
   // histograms are shared objects, so this clears the aggregated view too.
-  for (obs::Histogram* h :
-       {read_latency, tokenize_latency, parse_latency, write_latency}) {
-    if (h != nullptr) h->Reset();
-  }
-  for (obs::Counter* c :
-       {from_cache_metric, from_db_metric, from_raw_metric, written_metric,
-        skipped_metric, read_blocked_metric, speculative_metric,
-        write_failures_metric, write_backoff_metric, useful_bytes_metric,
-        rows_delivered_metric, bytes_converted_metric, tokenize_ranges_metric,
-        tokenize_misspec_metric, tokenize_repair_metric,
-        bytes_tokenized_metric, posmap_disk_metric}) {
-    if (c != nullptr) c->Reset();
+  stages.Reset();
+  for (size_t i = 0; i < kNumProfileCounters; ++i) {
+    counters_[i].store(0);
+    if (mirrors_[i] != nullptr) mirrors_[i]->Reset();
   }
 }
 
@@ -275,9 +292,10 @@ struct ScanRaw::QueryRun::Impl {
   // blocks on a full buffer (§4). Returns false if the pipeline is aborting.
   bool PushText(TextChunk chunk) {
     if (text_q.TryPush(std::move(chunk))) return true;
-    parent->profile_.CountReadBlocked();
+    parent->profile_.Add(ProfileCounter::kReadBlockedEvents);
     if (obs::ChunkTracer* tracer = parent->tracer()) {
-      tracer->RecordInstant(obs::TraceStage::kReadBlocked, chunk.chunk_index);
+      tracer->RecordInstant(obs::TraceInstant::kReadBlocked,
+                            chunk.chunk_index);
     }
     parent->MaybeTriggerSpeculativeWrite();
     return text_q.Push(std::move(chunk));
@@ -288,18 +306,13 @@ struct ScanRaw::QueryRun::Impl {
     // buffer is still "in" the stage, and a wedge there is exactly what the
     // watchdog must see as active-with-frozen-beats.
     obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                          obs::HeartbeatStage::kRead);
+                                          obs::Stage::kRead);
     if (!meta.layout_known) {
       DiscoveryScan();
     } else {
       KnownLayoutScan();
     }
     text_q.Close();
-  }
-
-  // Progress pulse for the stage watchdog; no-op when telemetry is unset.
-  void BeatStage(obs::HeartbeatStage stage) const {
-    if (parent->heartbeats_ != nullptr) parent->heartbeats_->Beat(stage);
   }
 
   // Text dialect for record discovery and TOKENIZE, from the options.
@@ -318,15 +331,16 @@ struct ScanRaw::QueryRun::Impl {
                : nullptr;
   }
 
-  // Folds newly accrued speculation outcomes into the profile counters
-  // (live — per chunk, not per scan).
-  void AddSpeculation(const SpeculationStats& cur, SpeculationStats* prev) {
-    parent->profile_.AddTokenizeRanges(cur.ranges - prev->ranges);
-    parent->profile_.AddTokenizeMisspeculations(cur.misspeculations -
-                                                prev->misspeculations);
-    parent->profile_.AddTokenizeRepairBytes(cur.repair_bytes -
-                                            prev->repair_bytes);
-    *prev = cur;
+  // Folds the speculation outcomes accrued since `seen` into the profile
+  // counters (live — per chunk, not per scan).
+  void AddSpeculation(const SpeculationStats& cur,
+                      const SpeculationStats& seen = {}) {
+    PipelineProfile& p = parent->profile_;
+    p.Add(ProfileCounter::kTokenizeRanges, cur.ranges - seen.ranges);
+    p.Add(ProfileCounter::kTokenizeMisspeculations,
+          cur.misspeculations - seen.misspeculations);
+    p.Add(ProfileCounter::kTokenizeRepairBytes,
+          cur.repair_bytes - seen.repair_bytes);
   }
 
   // First access to the file: sequential scan, chunk layout recorded into
@@ -342,43 +356,38 @@ struct ScanRaw::QueryRun::Impl {
     }
     SpeculationStats spec_seen;
     while (true) {
-      std::optional<TextChunk> chunk;
-      {
+      auto next = [&]() -> Result<std::optional<TextChunk>> {
         ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kRaw);
-        ScopedTimer timer(&parent->profile_.read_time);
-        auto next = (*chunker)->Next();
-        if (!next.ok()) {
-          ReportError(next.status());
-          return;
+        obs::StageScope stage(sinks, obs::Stage::kRead);
+        auto read = (*chunker)->Next();
+        if (read.ok() && read->has_value()) {
+          stage.set_chunk((*read)->chunk_index);
+          stage.set_detail((*read)->data.size());
+        } else if (read.ok()) {
+          stage.Cancel();  // EOF probe, not a chunk read
         }
-        chunk = std::move(*next);
-        if (chunk.has_value()) {
-          span.set_chunk_index(chunk->chunk_index);
-        } else {
-          span.Cancel();  // EOF probe, not a chunk read
-        }
+        return read;
+      }();
+      if (!next.ok()) {
+        ReportError(next.status());
+        return;
       }
-      AddSpeculation((*chunker)->speculation(), &spec_seen);
-      BeatStage(obs::HeartbeatStage::kRead);
-      if (!chunk.has_value()) break;
+      AddSpeculation((*chunker)->speculation(), spec_seen);
+      spec_seen = (*chunker)->speculation();
+      if (!next->has_value()) break;
+      TextChunk& chunk = **next;
       ChunkMetadata cm;
-      cm.chunk_index = chunk->chunk_index;
-      cm.raw_offset = chunk->file_offset;
-      cm.raw_size = chunk->data.size();
-      cm.num_rows = chunk->num_rows();
-      obs::FlightRecord(obs::FlightEvent::kRead, chunk->chunk_index,
-                        chunk->data.size());
+      cm.chunk_index = chunk.chunk_index;
+      cm.raw_offset = chunk.file_offset;
+      cm.raw_size = chunk.data.size();
+      cm.num_rows = chunk.num_rows();
       Status s = parent->catalog_->AppendChunk(parent->table_, cm);
       if (!s.ok()) {
         ReportError(s);
         return;
       }
-      parent->profile_.CountFromRaw();
-      if (!PushText(std::move(*chunk))) return;
+      parent->profile_.Add(ProfileCounter::kChunksFromRaw);
+      if (!PushText(std::move(chunk))) return;
     }
     Status s = parent->catalog_->MarkLayoutComplete(parent->table_);
     if (!s.ok()) ReportError(s);
@@ -394,7 +403,8 @@ struct ScanRaw::QueryRun::Impl {
       if (skip_filter.has_value() &&
           cm.CanSkipForRange(skip_filter->column, skip_filter->lo,
                              skip_filter->hi)) {
-        parent->profile_.CountSkipped();  // min/max proved no match (§3.3)
+        // min/max proved no match (§3.3)
+        parent->profile_.Add(ProfileCounter::kChunksSkipped);
         continue;
       }
       BinaryChunkPtr hit = parent->cache_.Lookup(cm.chunk_index);
@@ -407,9 +417,15 @@ struct ScanRaw::QueryRun::Impl {
       }
     }
 
+    // Cache hits reach the span store, the totals and READ's heartbeat;
+    // the tracer and flight ring keep to the conversion lifecycle.
+    const obs::StageSinks cache_sinks{.spans = sinks.spans,
+                                      .totals = sinks.totals,
+                                      .heartbeats = sinks.heartbeats};
     for (auto& [index, chunk] : cached) {
-      obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kCacheHit);
-      parent->profile_.CountFromCache();
+      obs::StageScope stage(cache_sinks, obs::Stage::kCacheHit,
+                            obs::ChunkSource::kCache, index);
+      parent->profile_.Add(ProfileCounter::kChunksFromCache);
       // Invisible loading charges its per-query quota against any unloaded
       // chunk that passes through, cached or freshly converted.
       if (parent->options_.policy == LoadPolicy::kInvisibleLoading) {
@@ -419,34 +435,25 @@ struct ScanRaw::QueryRun::Impl {
         progress.AddBytes(meta.chunks[index].raw_size);
       }
       progress.CountChunk();
-      BeatStage(obs::HeartbeatStage::kRead);
       if (!out_q.Push(std::move(chunk))) return;
     }
 
     for (const ChunkMetadata* cm : from_db) {
-      BinaryChunkPtr ptr;
-      {
+      auto chunk = [&] {
         ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kDb,
-                               cm->chunk_index);
-        ScopedTimer timer(&parent->profile_.read_time);
-        auto chunk =
-            parent->storage_->ReadChunkColumns(*cm, required_columns);
-        if (!chunk.ok()) {
-          ReportError(chunk.status());
-          return;
-        }
-        ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
+        obs::StageScope stage(sinks, obs::Stage::kRead, obs::ChunkSource::kDb,
+                              cm->chunk_index);
+        stage.set_detail(cm->raw_size);
+        return parent->storage_->ReadChunkColumns(*cm, required_columns);
+      }();
+      if (!chunk.ok()) {
+        ReportError(chunk.status());
+        return;
       }
-      obs::FlightRecord(obs::FlightEvent::kRead, cm->chunk_index,
-                        cm->raw_size);
-      parent->profile_.CountFromDb();
+      auto ptr = std::make_shared<const BinaryChunk>(std::move(*chunk));
+      parent->profile_.Add(ProfileCounter::kChunksFromDb);
       progress.AddBytes(cm->raw_size);
       progress.CountChunk();
-      BeatStage(obs::HeartbeatStage::kRead);
       // Database chunks are cached too (pre-fetching works for both sources,
       // §3.1) and arrive already loaded.
       HandleEvictions(
@@ -462,32 +469,22 @@ struct ScanRaw::QueryRun::Impl {
       return;
     }
     for (const ChunkMetadata* cm : from_raw) {
-      TextChunk chunk;
-      {
+      SpeculationStats spec;
+      auto read = [&] {
         ScopedDiskAccess disk(parent->arbiter_, DiskUser::kReader);
-        obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kRead);
-        obs::SpanRecorder span(parent->tracer(),
-                               parent->profile_.read_latency,
-                               obs::TraceStage::kRead, obs::ChunkSource::kRaw,
-                               cm->chunk_index);
-        ScopedTimer timer(&parent->profile_.read_time);
-        SpeculationStats spec;
-        auto read = ReadChunkAt(**file, *cm, parent->buffer_pool_.get(),
-                                Dialect(), ScanPool(), &spec);
-        parent->profile_.AddTokenizeRanges(spec.ranges);
-        parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
-        parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
-        if (!read.ok()) {
-          ReportError(read.status());
-          return;
-        }
-        chunk = std::move(*read);
+        obs::StageScope stage(sinks, obs::Stage::kRead,
+                              obs::ChunkSource::kRaw, cm->chunk_index);
+        stage.set_detail(cm->raw_size);
+        return ReadChunkAt(**file, *cm, parent->buffer_pool_.get(),
+                           Dialect(), ScanPool(), &spec);
+      }();
+      AddSpeculation(spec);
+      if (!read.ok()) {
+        ReportError(read.status());
+        return;
       }
-      obs::FlightRecord(obs::FlightEvent::kRead, cm->chunk_index,
-                        cm->raw_size);
-      parent->profile_.CountFromRaw();
-      BeatStage(obs::HeartbeatStage::kRead);
-      if (!PushText(std::move(chunk))) return;
+      parent->profile_.Add(ProfileCounter::kChunksFromRaw);
+      if (!PushText(std::move(*read))) return;
     }
   }
 
@@ -496,43 +493,50 @@ struct ScanRaw::QueryRun::Impl {
   // and the caller participates in claiming them, so a saturated pool
   // degrades to the caller tokenizing everything rather than deadlocking
   // behind its own queue. Busy time reaches the span profiler as one span
-  // per range from whichever thread ran it (no outer kTokenize scope, or
-  // the ranges would be double-counted).
+  // per range from whichever thread ran it; the chunk's stage event skips
+  // the span sink, or the ranges would be double-counted.
   void TokenizeParallel(const std::shared_ptr<TextChunk>& text,
                         const TokenizeOptions& topts,
                         const PosmapDialect& dialect, bool use_map_cache) {
     obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                          obs::HeartbeatStage::kTokenize);
+                                          obs::Stage::kTokenize);
     SpeculationStats spec;
     auto map = [&]() -> Result<PositionalMap> {
-      obs::SpanRecorder span(parent->tracer(),
-                             parent->profile_.tokenize_latency,
-                             obs::TraceStage::kTokenize,
-                             obs::ChunkSource::kRaw, text->chunk_index);
-      ScopedTimer timer(&parent->profile_.tokenize_time);
+      obs::StageSinks chunk_sinks = sinks;
+      chunk_sinks.spans = nullptr;
+      obs::StageScope stage(chunk_sinks, obs::Stage::kTokenize,
+                            obs::ChunkSource::kRaw, text->chunk_index);
       ParallelTokenizeOptions ptopts;
       ptopts.pool = &pool;
       ptopts.range_span = [this](size_t, int64_t start, int64_t dur) {
-        profiler.RecordSpan(obs::QueryStage::kTokenize,
-                            obs::CurrentThreadId(), start, dur);
+        profiler.RecordSpan(obs::Stage::kTokenize, obs::CurrentThreadId(),
+                            start, dur);
       };
-      return ParallelTokenizeChunk(*text, topts, ptopts, &spec);
+      auto built = ParallelTokenizeChunk(*text, topts, ptopts, &spec);
+      if (built.ok()) stage.set_detail(built->num_rows());
+      return built;
     }();
-    parent->profile_.AddTokenizeRanges(spec.ranges);
-    parent->profile_.AddTokenizeMisspeculations(spec.misspeculations);
-    parent->profile_.AddTokenizeRepairBytes(spec.repair_bytes);
-    parent->profile_.AddBytesTokenized(text->data.size());
-    if (map.ok()) {
-      obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
-                        map->num_rows());
-      auto shared = std::make_shared<PositionalMap>(std::move(*map));
-      if (use_map_cache) {
-        parent->positional_maps_.Insert(text->chunk_index, shared, dialect);
-      }
-      pos_q.Push(Tokenized{text, std::move(shared)});
-    } else {
+    AddSpeculation(spec);
+    PushMap(text, std::move(map), dialect, use_map_cache);
+  }
+
+  // Hands a freshly built map to PARSE, caching it when enabled. The whole
+  // chunk counts as tokenized bytes, even when an extend scanned only the
+  // unmapped suffix: the fully-mapped skip path in TokenizeLoop is the
+  // only zero-byte outcome.
+  void PushMap(const std::shared_ptr<TextChunk>& text,
+               Result<PositionalMap> map, const PosmapDialect& dialect,
+               bool use_map_cache) {
+    parent->profile_.Add(ProfileCounter::kBytesTokenized, text->data.size());
+    if (!map.ok()) {
       ReportError(map.status());
+      return;
     }
+    auto shared = std::make_shared<PositionalMap>(std::move(*map));
+    if (use_map_cache) {
+      parent->positional_maps_.Insert(text->chunk_index, shared, dialect);
+    }
+    pos_q.Push(Tokenized{text, std::move(shared)});
   }
 
   void TokenizeLoop() {
@@ -571,7 +575,7 @@ struct ScanRaw::QueryRun::Impl {
           posmap_hits.fetch_add(1, std::memory_order_relaxed);
           if (origin == PosmapOrigin::kDisk) {
             posmap_disk_hits.fetch_add(1, std::memory_order_relaxed);
-            parent->profile_.CountPosmapDiskChunk();
+            parent->profile_.Add(ProfileCounter::kPosmapDiskChunks);
           }
         } else {
           posmap_misses.fetch_add(1, std::memory_order_relaxed);
@@ -600,37 +604,19 @@ struct ScanRaw::QueryRun::Impl {
       }
       pool.Submit([this, text, topts, dialect, cached, use_map_cache, json] {
         obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                              obs::HeartbeatStage::kTokenize);
+                                              obs::Stage::kTokenize);
         auto map = [&]() -> Result<PositionalMap> {
-          obs::SpanProfiler::Scope pspan(&profiler,
-                                         obs::QueryStage::kTokenize);
-          obs::SpanRecorder span(parent->tracer(),
-                                 parent->profile_.tokenize_latency,
-                                 obs::TraceStage::kTokenize,
-                                 obs::ChunkSource::kRaw, text->chunk_index);
-          ScopedTimer timer(&parent->profile_.tokenize_time);
-          if (json) return TokenizeJsonChunk(*text, meta.schema);
+          obs::StageScope stage(sinks, obs::Stage::kTokenize,
+                                obs::ChunkSource::kRaw, text->chunk_index);
           // Delimited text: extend a cached partial map when available.
-          return cached != nullptr && !cached->explicit_ends()
-                     ? ExtendTokenizeMap(*text, *cached, topts)
-                     : TokenizeChunk(*text, topts);
+          auto built = json ? TokenizeJsonChunk(*text, meta.schema)
+                       : cached != nullptr && !cached->explicit_ends()
+                           ? ExtendTokenizeMap(*text, *cached, topts)
+                           : TokenizeChunk(*text, topts);
+          if (built.ok()) stage.set_detail(built->num_rows());
+          return built;
         }();
-        // The extend path scans only the unmapped suffix, but the whole
-        // chunk was subjected to TOKENIZE-stage work; count it all — the
-        // fully-mapped skip path above is the only zero-byte outcome.
-        parent->profile_.AddBytesTokenized(text->data.size());
-        if (map.ok()) {
-          obs::FlightRecord(obs::FlightEvent::kTokenize, text->chunk_index,
-                            map->num_rows());
-          auto shared = std::make_shared<PositionalMap>(std::move(*map));
-          if (use_map_cache) {
-            parent->positional_maps_.Insert(text->chunk_index, shared,
-                                            dialect);
-          }
-          pos_q.Push(Tokenized{text, std::move(shared)});
-        } else {
-          ReportError(map.status());
-        }
+        PushMap(text, std::move(map), dialect, use_map_cache);
         MutexLock lock(inflight_mu);
         --tokenize_inflight;
         inflight_cv.NotifyAll();
@@ -670,26 +656,23 @@ struct ScanRaw::QueryRun::Impl {
       Tokenized tokenized = std::move(*item);
       pool.Submit([this, tokenized, popts] {
         obs::StageHeartbeats::Scope heartbeat(parent->heartbeats_,
-                                              obs::HeartbeatStage::kParse);
+                                              obs::Stage::kParse);
         auto parsed = [&] {
-          obs::SpanProfiler::Scope pspan(&profiler, obs::QueryStage::kParse);
-          obs::SpanRecorder span(parent->tracer(),
-                                 parent->profile_.parse_latency,
-                                 obs::TraceStage::kParse,
-                                 obs::ChunkSource::kRaw,
-                                 tokenized.text->chunk_index);
-          ScopedTimer timer(&parent->profile_.parse_time);
-          return ParseChunk(*tokenized.text, *tokenized.map, meta.schema,
-                            popts);
+          obs::StageScope stage(sinks, obs::Stage::kParse,
+                                obs::ChunkSource::kRaw,
+                                tokenized.text->chunk_index);
+          auto chunk = ParseChunk(*tokenized.text, *tokenized.map,
+                                  meta.schema, popts);
+          if (chunk.ok()) stage.set_detail(chunk->num_rows());
+          return chunk;
         }();
         if (parsed.ok()) {
-          obs::FlightRecord(obs::FlightEvent::kParse,
-                            tokenized.text->chunk_index,
-                            parsed->num_rows());
           progress.AddBytes(tokenized.text->data.size());
           progress.CountChunk();
-          parent->profile_.AddRowsDelivered(parsed->num_rows());
-          parent->profile_.AddBytesConverted(tokenized.text->data.size());
+          parent->profile_.Add(ProfileCounter::kRowsDelivered,
+                               parsed->num_rows());
+          parent->profile_.Add(ProfileCounter::kBytesConverted,
+                               tokenized.text->data.size());
           DeliverConverted(ChunkBufferPool::WrapChunk(std::move(*parsed),
                                                       parent->buffer_pool_));
         } else {
@@ -822,6 +805,12 @@ struct ScanRaw::QueryRun::Impl {
   // Query-scoped observability: every stage records spans here, and the
   // progress tracker feeds the optional reporter thread.
   obs::SpanProfiler profiler;
+  // Every sink a chunk-stage event of this query reaches.
+  const obs::StageSinks sinks{.spans = &profiler,
+                              .tracer = parent->tracer(),
+                              .totals = &parent->profile_.stages,
+                              .heartbeats = parent->heartbeats_,
+                              .flight = true};
   obs::ProgressTracker progress;
   std::unique_ptr<obs::ProgressReporter> reporter;
   bool joined = false;
@@ -986,22 +975,11 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   // Baselines for the per-query deltas the report shows. The counters are
   // shared across queries on this operator, so EXPLAIN assumes one query at
   // a time (concurrent queries fold into each other's deltas).
-  const uint64_t base_cache = profile_.chunks_from_cache.load();
-  const uint64_t base_db = profile_.chunks_from_db.load();
-  const uint64_t base_raw = profile_.chunks_from_raw.load();
-  const uint64_t base_written = profile_.chunks_written.load();
-  const uint64_t base_skipped = profile_.chunks_skipped.load();
-  const uint64_t base_triggers = profile_.speculative_triggers.load();
-  const uint64_t base_blocked = profile_.read_blocked_events.load();
-  const uint64_t base_tok_ranges = profile_.tokenize_ranges.load();
-  const uint64_t base_tok_misspec = profile_.tokenize_misspeculations.load();
-  const uint64_t base_tok_repair = profile_.tokenize_repair_bytes.load();
+  const PipelineProfile::Counts base = profile_.Snapshot();
   const uint64_t base_cache_hits = cache_.hits();
   const uint64_t base_cache_misses = cache_.misses();
-  const uint64_t base_tok_bytes = profile_.bytes_tokenized.load();
   const uint64_t base_bytes = storage_ != nullptr ? storage_->bytes_written()
                                                   : 0;
-  const uint64_t base_useful = profile_.useful_bytes_written.load();
   const uint64_t base_bytes_read = raw_io_stats_.bytes_read.load();
   const int64_t base_disk_wait =
       arbiter_ != nullptr
@@ -1100,7 +1078,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
       const int64_t d = arbiter_->reader_wait_nanos() +
                         arbiter_->writer_wait_nanos() - base_disk_wait;
       if (d > 0) {
-        profiler.RecordSpan(obs::QueryStage::kDiskWait, /*tid=*/0,
+        profiler.RecordSpan(obs::Stage::kDiskWait, /*tid=*/0,
                             profiler.start_nanos(), d);
       }
     }
@@ -1108,7 +1086,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
       const int64_t d = static_cast<int64_t>(raw_limiter_->total_wait_nanos() -
                                              base_throttle_wait);
       if (d > 0) {
-        profiler.RecordSpan(obs::QueryStage::kThrottleWait, /*tid=*/0,
+        profiler.RecordSpan(obs::Stage::kThrottleWait, /*tid=*/0,
                             profiler.start_nanos(), d);
       }
     }
@@ -1117,24 +1095,21 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     report->policy = std::string(LoadPolicyName(options_.policy));
     report->workers = options_.num_workers;
     report->FillFromProfile(profiler.Aggregate());
-    report->chunks_from_cache = profile_.chunks_from_cache.load() - base_cache;
-    report->chunks_from_db = profile_.chunks_from_db.load() - base_db;
-    report->chunks_from_raw = profile_.chunks_from_raw.load() - base_raw;
-    report->chunks_skipped = profile_.chunks_skipped.load() - base_skipped;
-    report->chunks_written = profile_.chunks_written.load() - base_written;
-    report->speculative_triggers =
-        profile_.speculative_triggers.load() - base_triggers;
-    report->tokenize_ranges = profile_.tokenize_ranges.load() - base_tok_ranges;
+    const PipelineProfile::Counts delta = profile_.Snapshot() - base;
+    report->chunks_from_cache = delta[ProfileCounter::kChunksFromCache];
+    report->chunks_from_db = delta[ProfileCounter::kChunksFromDb];
+    report->chunks_from_raw = delta[ProfileCounter::kChunksFromRaw];
+    report->chunks_skipped = delta[ProfileCounter::kChunksSkipped];
+    report->chunks_written = delta[ProfileCounter::kChunksWritten];
+    report->speculative_triggers = delta[ProfileCounter::kSpeculativeTriggers];
+    report->tokenize_ranges = delta[ProfileCounter::kTokenizeRanges];
     report->tokenize_misspeculations =
-        profile_.tokenize_misspeculations.load() - base_tok_misspec;
-    report->tokenize_repair_bytes =
-        profile_.tokenize_repair_bytes.load() - base_tok_repair;
-    report->read_blocked_events =
-        profile_.read_blocked_events.load() - base_blocked;
+        delta[ProfileCounter::kTokenizeMisspeculations];
+    report->tokenize_repair_bytes = delta[ProfileCounter::kTokenizeRepairBytes];
+    report->read_blocked_events = delta[ProfileCounter::kReadBlockedEvents];
     report->bytes_written =
         (storage_ != nullptr ? storage_->bytes_written() : 0) - base_bytes;
-    report->useful_bytes_written =
-        profile_.useful_bytes_written.load() - base_useful;
+    report->useful_bytes_written = delta[ProfileCounter::kUsefulBytesWritten];
     report->cache_hits = cache_.hits() - base_cache_hits;
     report->cache_misses = cache_.misses() - base_cache_misses;
     // Positional-map numbers are query-scoped — counted at the TOKENIZE
@@ -1143,7 +1118,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     report->posmap_hits = (*run)->impl_->posmap_hits.load();
     report->posmap_misses = (*run)->impl_->posmap_misses.load();
     report->posmap_disk_hits = (*run)->impl_->posmap_disk_hits.load();
-    report->bytes_tokenized = profile_.bytes_tokenized.load() - base_tok_bytes;
+    report->bytes_tokenized = delta[ProfileCounter::kBytesTokenized];
     report->loaded_fraction_before = loaded_before;
     report->loaded_fraction_after = LoadedFraction();
     report->speculation_paid_off =
@@ -1204,7 +1179,8 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   // save never fails the query.
   if (options_.persist_positional_maps &&
       !options_.posmap_sidecar_path.empty() &&
-      profile_.bytes_tokenized.load() - base_tok_bytes > 0) {
+      profile_.Get(ProfileCounter::kBytesTokenized) >
+          base[ProfileCounter::kBytesTokenized]) {
     const Status saved = SavePositionalMaps(options_.posmap_sidecar_path);
     if (!saved.ok()) {
       LOG_WARN("scanraw: posmap sidecar save failed: %s",
@@ -1385,7 +1361,7 @@ void ScanRaw::MaybeTriggerSpeculativeWrite() {
       write_backoff_until_nanos_.load(std::memory_order_relaxed);
   if (backoff_until != 0 &&
       RealClock::Instance()->NowNanos() < backoff_until) {
-    profile_.CountWriteBackoff();
+    profile_.Add(ProfileCounter::kWriteBackoffs);
     return;
   }
   {
@@ -1398,17 +1374,17 @@ void ScanRaw::MaybeTriggerSpeculativeWrite() {
   if (!victim.has_value()) return;
   const uint64_t victim_index = victim->first;
   if (EnqueueWrite(victim_index, std::move(victim->second))) {
-    profile_.CountSpeculativeTrigger();
+    profile_.Add(ProfileCounter::kSpeculativeTriggers);
     obs::FlightRecord(obs::FlightEvent::kSpeculativeTrigger, victim_index, 0);
     if (obs::ChunkTracer* t = tracer()) {
-      t->RecordInstant(obs::TraceStage::kSpeculativeTrigger, victim_index);
+      t->RecordInstant(obs::TraceInstant::kSpeculativeTrigger, victim_index);
     }
   }
 }
 
 void ScanRaw::SafeguardFlush() {
   if (obs::ChunkTracer* t = tracer()) {
-    t->RecordInstant(obs::TraceStage::kSafeguardFlush, /*chunk_index=*/0);
+    t->RecordInstant(obs::TraceInstant::kSafeguardFlush, /*chunk_index=*/0);
   }
   for (auto& [index, chunk] : cache_.UnloadedChunks()) {
     EnqueueWrite(index, std::move(chunk));
@@ -1419,8 +1395,7 @@ void ScanRaw::WriteLoop() {
   while (auto req = write_queue_.Pop()) {
     // Active only while a request is being stored: the idle Pop wait is the
     // normal state for WRITE and must not look like a stall.
-    obs::StageHeartbeats::Scope heartbeat(heartbeats_,
-                                          obs::HeartbeatStage::kWrite);
+    obs::StageHeartbeats::Scope heartbeat(heartbeats_, obs::Stage::kWrite);
     Status status;
     // Optional pre-load clustering (§3.3): sort the chunk's rows on the
     // configured column before it is stored.
@@ -1455,13 +1430,17 @@ void ScanRaw::WriteLoop() {
       // Every hot column already resident: nothing worth the write budget.
       skip_write = store_columns.empty();
     }
-    const int64_t write_start = RealClock::Instance()->NowNanos();
     if (!skip_write) {
       ScopedDiskAccess disk(arbiter_, DiskUser::kWriter);
-      obs::SpanRecorder span(tracer(), profile_.write_latency,
-                             obs::TraceStage::kWrite, obs::ChunkSource::kRaw,
-                             req->chunk_index);
-      ScopedTimer timer(&profile_.write_time);
+      // The WRITE thread outlives queries: its spans go to whichever query
+      // is active when the write finishes (RecordSpan below).
+      obs::StageScope stage({.spans = this,
+                             .tracer = tracer(),
+                             .totals = &profile_.stages,
+                             .heartbeats = heartbeats_,
+                             .flight = true},
+                            obs::Stage::kWrite, obs::ChunkSource::kRaw,
+                            req->chunk_index);
       auto segment = storage_->WriteSegment(*to_store, store_columns);
       if (!segment.ok()) {
         status = segment.status();
@@ -1485,22 +1464,17 @@ void ScanRaw::WriteLoop() {
           // chunk are near-equal width, so proportional is a fair split).
           const size_t overlap = CountRequiredOverlap(store_columns);
           if (!store_columns.empty()) {
-            profile_.AddUsefulBytes(segment->page.size * overlap /
-                                    store_columns.size());
+            profile_.Add(ProfileCounter::kUsefulBytesWritten,
+                         segment->page.size * overlap / store_columns.size());
           }
-          obs::FlightRecord(obs::FlightEvent::kWrite, req->chunk_index,
-                            segment->page.size);
+          stage.set_detail(segment->page.size);
         }
       }
-    }
-    if (!skip_write) {
-      RecordWriteSpan(write_start,
-                      RealClock::Instance()->NowNanos() - write_start);
     }
     if (status.ok()) {
       cache_.MarkLoaded(req->chunk_index);
       if (!skip_write) {
-        profile_.CountWritten();
+        profile_.Add(ProfileCounter::kChunksWritten);
         NoteChunkLoaded();
       }
     } else if (options_.policy == LoadPolicy::kFullLoad ||
@@ -1514,7 +1488,7 @@ void ScanRaw::WriteLoop() {
       // from the raw side — and new speculative triggers back off so a
       // sick disk is not hammered. Retried naturally once the backoff
       // expires.
-      profile_.CountWriteFailure();
+      profile_.Add(ProfileCounter::kWriteFailures);
       LOG_WARN(
           "scanraw: background write of %s chunk %llu failed, "
           "falling back to raw-side processing: %s",
@@ -1569,12 +1543,11 @@ size_t ScanRaw::CountRequiredOverlap(
   return overlap;
 }
 
-void ScanRaw::RecordWriteSpan(int64_t start_nanos, int64_t dur_nanos) {
+void ScanRaw::RecordSpan(obs::Stage stage, uint32_t tid, int64_t start_nanos,
+                         int64_t dur_nanos) {
   MutexLock lock(active_mu_);
   if (active_profiler_ != nullptr) {
-    active_profiler_->RecordSpan(obs::QueryStage::kWrite,
-                                 obs::CurrentThreadId(), start_nanos,
-                                 dur_nanos);
+    active_profiler_->RecordSpan(stage, tid, start_nanos, dur_nanos);
   }
 }
 
@@ -1615,22 +1588,24 @@ std::string ScanRaw::StatuszSection() const {
   }());
   out += StringPrintf(
       "  tokenize: ranges=%llu misspeculations=%llu repair_bytes=%llu\n",
-      static_cast<unsigned long long>(profile_.tokenize_ranges.load()),
       static_cast<unsigned long long>(
-          profile_.tokenize_misspeculations.load()),
-      static_cast<unsigned long long>(profile_.tokenize_repair_bytes.load()));
+          profile_.Get(ProfileCounter::kTokenizeRanges)),
+      static_cast<unsigned long long>(
+          profile_.Get(ProfileCounter::kTokenizeMisspeculations)),
+      static_cast<unsigned long long>(
+          profile_.Get(ProfileCounter::kTokenizeRepairBytes)));
   if (options_.cache_positional_maps) {
     out += StringPrintf(
         "  posmap cache: %zu maps, %zu bytes, disk_chunks=%llu\n",
         positional_maps_.size(), positional_maps_.MemoryBytes(),
-        static_cast<unsigned long long>(profile_.posmap_disk_chunks.load()));
+        static_cast<unsigned long long>(
+            profile_.Get(ProfileCounter::kPosmapDiskChunks)));
   }
   if (heartbeats_ != nullptr) {
-    for (size_t i = 0; i < obs::kNumHeartbeatStages; ++i) {
-      const auto stage = static_cast<obs::HeartbeatStage>(i);
+    for (const obs::Stage stage : obs::kWatchedStages) {
       out += StringPrintf(
           "  stage %s: active=%lld beats=%llu\n",
-          std::string(obs::HeartbeatStageName(stage)).c_str(),
+          std::string(obs::StageName(stage)).c_str(),
           static_cast<long long>(heartbeats_->active(stage)),
           static_cast<unsigned long long>(heartbeats_->beats(stage)));
     }
@@ -1642,19 +1617,19 @@ std::string ScanRaw::StatuszSection() const {
   }
   out += "  query: running\n";
   const obs::SpanProfiler::Report report = active_profiler_->Aggregate();
-  for (size_t i = 0; i < obs::kNumQueryStages; ++i) {
-    const auto stage = static_cast<obs::QueryStage>(i);
+  for (size_t i = 0; i < obs::kNumStages; ++i) {
+    const auto stage = static_cast<obs::Stage>(i);
     const obs::SpanProfiler::StageStats& stats = report.stages[i];
     if (stats.spans == 0) continue;
     out += StringPrintf(
         "  span %s: spans=%llu busy=%.3fs threads=%zu\n",
-        std::string(obs::QueryStageName(stage)).c_str(),
+        std::string(obs::StageName(stage)).c_str(),
         static_cast<unsigned long long>(stats.spans),
         static_cast<double>(stats.busy_nanos) * 1e-9, stats.threads);
   }
   out += StringPrintf(
       "  critical_stage: %s (%.0f%% of wall)\n",
-      std::string(obs::QueryStageName(report.critical_stage)).c_str(),
+      std::string(obs::StageName(report.critical_stage)).c_str(),
       report.critical_fraction * 100.0);
   return out;
 }

@@ -8,6 +8,7 @@
 #ifndef SCANRAW_SCANRAW_SCAN_RAW_H_
 #define SCANRAW_SCANRAW_SCAN_RAW_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "db/catalog.h"
 #include "db/storage_manager.h"
@@ -29,6 +29,7 @@
 #include "obs/explain.h"
 #include "obs/progress.h"
 #include "obs/span_profiler.h"
+#include "obs/stage.h"
 #include "obs/telemetry.h"
 #include "pipeline/bounded_queue.h"
 #include "scanraw/chunk_buffer_pool.h"
@@ -38,128 +39,84 @@
 
 namespace scanraw {
 
-// Per-stage profiling counters ("special function calls to harness detailed
-// profiling data", §5). Stopwatch intervals count processed chunks, so
-// TotalSeconds()/intervals() is the per-chunk stage time of Figure 5.
-//
-// When bound to a metrics registry (Bind), every update is mirrored into
-// named registry metrics — per-stage latency histograms with percentiles
-// plus the chunk-source and scheduler counters — so the ad-hoc atomics here
-// stay as the cheap in-process view while the registry is the export path.
-struct PipelineProfile {
-  Stopwatch read_time;
-  Stopwatch tokenize_time;
-  Stopwatch parse_time;
-  Stopwatch write_time;
-  std::atomic<uint64_t> chunks_from_cache{0};
-  std::atomic<uint64_t> chunks_from_db{0};
-  std::atomic<uint64_t> chunks_from_raw{0};
-  std::atomic<uint64_t> chunks_written{0};
-  std::atomic<uint64_t> chunks_skipped{0};  // min/max pruning (§3.3)
-  std::atomic<uint64_t> read_blocked_events{0};
-  std::atomic<uint64_t> speculative_triggers{0};
+// Per-operator pipeline counters, one enum-indexed table. Each has one
+// registry name (kProfileCounterNames in scan_raw.cc, "scanraw." prefix).
+enum class ProfileCounter : uint8_t {
+  kChunksFromCache,
+  kChunksFromDb,
+  kChunksFromRaw,
+  kChunksWritten,
+  kChunksSkipped,  // min/max pruning (§3.3)
+  kReadBlockedEvents,
+  kSpeculativeTriggers,
   // Failed background WRITEs degraded to raw-side processing (the chunk
   // stays unloaded and will be re-extracted or retried), and speculative
   // triggers suppressed while backing off after such a failure.
-  std::atomic<uint64_t> write_failures{0};
-  std::atomic<uint64_t> write_backoffs{0};
+  kWriteFailures,
+  kWriteBackoffs,
   // Written-segment bytes attributed (proportionally) to columns the
   // active query required — the "useful" share of the write budget.
-  std::atomic<uint64_t> useful_bytes_written{0};
+  kUsefulBytesWritten,
   // Throughput feed for the live-rate rings (rows/s, bytes/s on /metrics):
   // rows delivered to the engine and raw bytes converted by PARSE.
-  std::atomic<uint64_t> rows_delivered{0};
-  std::atomic<uint64_t> bytes_converted{0};
+  kRowsDelivered,
+  kBytesConverted,
   // Speculative parallel TOKENIZE (format/parallel_chunker): byte ranges
   // fanned out across record scans and chunk tokenizes, boundary
   // misspeculations caught at stitch points, and bytes re-scanned by the
   // repair path.
-  std::atomic<uint64_t> tokenize_ranges{0};
-  std::atomic<uint64_t> tokenize_misspeculations{0};
-  std::atomic<uint64_t> tokenize_repair_bytes{0};
+  kTokenizeRanges,
+  kTokenizeMisspeculations,
+  kTokenizeRepairBytes,
   // Chunk bytes put through TOKENIZE (full, extend, or parallel path). A
   // warm restart with a persisted posmap answers mapped queries with this
   // staying 0 — the restart_warm bench gates on exactly that.
-  std::atomic<uint64_t> bytes_tokenized{0};
+  kBytesTokenized,
   // Chunks whose positional map came from a persisted sidecar
   // (`posmap-disk` provenance).
-  std::atomic<uint64_t> posmap_disk_chunks{0};
+  kPosmapDiskChunks,
+};
 
-  // Registry mirrors; null until Bind. Stage histograms record nanoseconds
-  // per chunk. Operators sharing one registry share these objects, so the
-  // registry view aggregates across operators.
-  obs::Histogram* read_latency = nullptr;
-  obs::Histogram* tokenize_latency = nullptr;
-  obs::Histogram* parse_latency = nullptr;
-  obs::Histogram* write_latency = nullptr;
-  obs::Counter* from_cache_metric = nullptr;
-  obs::Counter* from_db_metric = nullptr;
-  obs::Counter* from_raw_metric = nullptr;
-  obs::Counter* written_metric = nullptr;
-  obs::Counter* skipped_metric = nullptr;
-  obs::Counter* read_blocked_metric = nullptr;
-  obs::Counter* speculative_metric = nullptr;
-  obs::Counter* write_failures_metric = nullptr;
-  obs::Counter* write_backoff_metric = nullptr;
-  obs::Counter* useful_bytes_metric = nullptr;
-  obs::Counter* rows_delivered_metric = nullptr;
-  obs::Counter* bytes_converted_metric = nullptr;
-  obs::Counter* tokenize_ranges_metric = nullptr;
-  obs::Counter* tokenize_misspec_metric = nullptr;
-  obs::Counter* tokenize_repair_metric = nullptr;
-  obs::Counter* bytes_tokenized_metric = nullptr;
-  obs::Counter* posmap_disk_metric = nullptr;
+inline constexpr size_t kNumProfileCounters =
+    static_cast<size_t>(ProfileCounter::kPosmapDiskChunks) + 1;
 
-  // Resolves the registry mirrors under the "scanraw." prefix. Call before
-  // the pipeline runs.
+// Per-stage profiling ("special function calls to harness detailed
+// profiling data", §5): the stage totals every StageScope of the operator
+// feeds, plus the counter table. Counters are kept per operator — the
+// manager's registry is shared by every table, so EXPLAIN deltas and
+// profile() must not read it — and, once bound, mirrored into the registry.
+class PipelineProfile {
+ public:
+  // Every counter at one instant; EXPLAIN reports `after - before`.
+  struct Counts {
+    std::array<uint64_t, kNumProfileCounters> values{};
+    uint64_t operator[](ProfileCounter c) const {
+      return values[static_cast<size_t>(c)];
+    }
+    Counts operator-(const Counts& base) const;
+  };
+
+  // Per-stage chunk counts and nanoseconds (nanos / chunks is the
+  // per-chunk stage time of Figure 5); READ, TOKENIZE, PARSE and WRITE are
+  // mirrored into the scanraw.stage.*_nanos histograms.
+  obs::StageTotals stages;
+
+  void Add(ProfileCounter c, uint64_t n = 1) {
+    if (n == 0) return;
+    const size_t i = static_cast<size_t>(c);
+    counters_[i].fetch_add(n, std::memory_order_relaxed);
+    if (mirrors_[i] != nullptr) mirrors_[i]->Add(n);
+  }
+  uint64_t Get(ProfileCounter c) const {
+    return counters_[static_cast<size_t>(c)].load();
+  }
+  Counts Snapshot() const;
+
+  // Resolves the registry mirrors and stage histograms. Call before the
+  // pipeline runs.
   void Bind(obs::MetricsRegistry* registry);
 
-  void CountFromCache() { Bump(chunks_from_cache, from_cache_metric); }
-  void CountFromDb() { Bump(chunks_from_db, from_db_metric); }
-  void CountFromRaw() { Bump(chunks_from_raw, from_raw_metric); }
-  void CountWritten() { Bump(chunks_written, written_metric); }
-  void CountSkipped() { Bump(chunks_skipped, skipped_metric); }
-  void CountReadBlocked() { Bump(read_blocked_events, read_blocked_metric); }
-  void CountSpeculativeTrigger() {
-    Bump(speculative_triggers, speculative_metric);
-  }
-  void CountWriteFailure() { Bump(write_failures, write_failures_metric); }
-  void CountWriteBackoff() { Bump(write_backoffs, write_backoff_metric); }
-  void AddUsefulBytes(uint64_t n) {
-    useful_bytes_written.fetch_add(n, std::memory_order_relaxed);
-    if (useful_bytes_metric != nullptr) useful_bytes_metric->Add(n);
-  }
-  void AddRowsDelivered(uint64_t n) {
-    rows_delivered.fetch_add(n, std::memory_order_relaxed);
-    if (rows_delivered_metric != nullptr) rows_delivered_metric->Add(n);
-  }
-  void AddBytesConverted(uint64_t n) {
-    bytes_converted.fetch_add(n, std::memory_order_relaxed);
-    if (bytes_converted_metric != nullptr) bytes_converted_metric->Add(n);
-  }
-  void AddTokenizeRanges(uint64_t n) {
-    if (n == 0) return;
-    tokenize_ranges.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_ranges_metric != nullptr) tokenize_ranges_metric->Add(n);
-  }
-  void AddTokenizeMisspeculations(uint64_t n) {
-    if (n == 0) return;
-    tokenize_misspeculations.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_misspec_metric != nullptr) tokenize_misspec_metric->Add(n);
-  }
-  void AddTokenizeRepairBytes(uint64_t n) {
-    if (n == 0) return;
-    tokenize_repair_bytes.fetch_add(n, std::memory_order_relaxed);
-    if (tokenize_repair_metric != nullptr) tokenize_repair_metric->Add(n);
-  }
-  void AddBytesTokenized(uint64_t n) {
-    if (n == 0) return;
-    bytes_tokenized.fetch_add(n, std::memory_order_relaxed);
-    if (bytes_tokenized_metric != nullptr) bytes_tokenized_metric->Add(n);
-  }
-  void CountPosmapDiskChunk() { Bump(posmap_disk_chunks, posmap_disk_metric); }
-
-  // Zeroes the stopwatches, the counters, and — when bound — the
+  // Zeroes the stage totals, the counters, and — when bound — the
   // registry-backed mirrors (histograms included).
   //
   // Contract: reset is single-threaded. Each store is individually atomic,
@@ -169,10 +126,10 @@ struct PipelineProfile {
   void Reset();
 
  private:
-  static void Bump(std::atomic<uint64_t>& local, obs::Counter* mirror) {
-    local.fetch_add(1, std::memory_order_relaxed);
-    if (mirror != nullptr) mirror->Add(1);
-  }
+  std::array<std::atomic<uint64_t>, kNumProfileCounters> counters_{};
+  // Null until Bind. Operators sharing one registry share these objects,
+  // so the registry view aggregates across operators.
+  std::array<obs::Counter*, kNumProfileCounters> mirrors_{};
 };
 
 // Live pipeline utilization, relayed to the database resource manager
@@ -220,7 +177,7 @@ std::string_view AdviceName(ResourceSnapshot::Advice advice);
 PosmapDialect TokenizeDialectFor(const Schema& schema,
                                  const ScanRawOptions& options);
 
-class ScanRaw {
+class ScanRaw : private obs::SpanSink {
  public:
   // The table must already exist in `catalog` (see ScanRawManager, which
   // creates both). `arbiter` serializes READ/WRITE disk access; pass
@@ -378,8 +335,10 @@ class ScanRaw {
                          const std::vector<size_t>& required_columns);
   void UnregisterObservers(obs::SpanProfiler* profiler,
                            obs::ProgressTracker* progress);
-  // WRITE-thread hooks into the active observers (no-ops when none).
-  void RecordWriteSpan(int64_t start_nanos, int64_t dur_nanos);
+  // WRITE-thread hooks into the active observers (no-ops when none): the
+  // WRITE stage's span sink and the loaded-chunk progress count.
+  void RecordSpan(obs::Stage stage, uint32_t tid, int64_t start_nanos,
+                  int64_t dur_nanos) override EXCLUDES(active_mu_);
   void NoteChunkLoaded();
   // How many of `columns` the active query's spec required.
   size_t CountRequiredOverlap(const std::vector<size_t>& columns) const

@@ -19,7 +19,7 @@ HeapScanStream::HeapScanStream(const TableMetadata& table,
 }
 
 Result<std::optional<BinaryChunkPtr>> HeapScanStream::Next() {
-  obs::SpanProfiler::Scope span(profiler_, obs::QueryStage::kHeapScan);
+  obs::StageScope stage({.spans = profiler_}, obs::Stage::kHeapScan);
   auto chunk = scan_.Next();
   if (!chunk.ok()) return chunk.status();
   if (!chunk->has_value()) return std::optional<BinaryChunkPtr>();

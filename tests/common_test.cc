@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 
 namespace scanraw {
@@ -141,43 +140,6 @@ TEST(RandomTest, CoversRange) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 400; ++i) seen.insert(rng.Uniform(8));
   EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(StopwatchTest, AccumulatesIntervals) {
-  VirtualClock clock;
-  Stopwatch watch(&clock);
-  watch.Start();
-  clock.AdvanceNanos(100);
-  watch.Stop();
-  watch.Start();
-  clock.AdvanceNanos(50);
-  watch.Stop();
-  EXPECT_EQ(watch.TotalNanos(), 150);
-  EXPECT_EQ(watch.intervals(), 2);
-  watch.Reset();
-  EXPECT_EQ(watch.TotalNanos(), 0);
-}
-
-TEST(StopwatchTest, ScopedTimerCharges) {
-  VirtualClock clock;
-  Stopwatch watch(&clock);
-  {
-    ScopedTimer timer(&watch, &clock);
-    clock.AdvanceNanos(33);
-  }
-  EXPECT_EQ(watch.TotalNanos(), 33);
-}
-
-TEST(StopwatchTest, ThreadSafeAccumulation) {
-  Stopwatch watch;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&watch] {
-      for (int i = 0; i < 1000; ++i) watch.AddNanos(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(watch.TotalNanos(), 4000);
 }
 
 TEST(StringUtilTest, HumanBytes) {

@@ -24,16 +24,16 @@ TEST(SpanProfilerTest, BusySumsAndIntervalUnionDiffer) {
   SpanProfiler profiler(&clock);
   // Two overlapping PARSE spans on different threads: busy is additive,
   // the wall footprint merges the overlap.
-  profiler.RecordSpan(QueryStage::kParse, /*tid=*/1, /*start=*/0,
+  profiler.RecordSpan(Stage::kParse, /*tid=*/1, /*start=*/0,
                       /*dur=*/100);
-  profiler.RecordSpan(QueryStage::kParse, /*tid=*/2, /*start=*/50,
+  profiler.RecordSpan(Stage::kParse, /*tid=*/2, /*start=*/50,
                       /*dur=*/100);
   clock.SetNanos(200);
   profiler.End();
 
   const auto report = profiler.Aggregate();
   const auto& parse =
-      report.stages[static_cast<size_t>(QueryStage::kParse)];
+      report.stages[static_cast<size_t>(Stage::kParse)];
   EXPECT_EQ(parse.spans, 2u);
   EXPECT_EQ(parse.busy_nanos, 200);
   EXPECT_EQ(parse.covered_nanos, 150);  // [0,100) U [50,150)
@@ -44,12 +44,12 @@ TEST(SpanProfilerTest, BusySumsAndIntervalUnionDiffer) {
 TEST(SpanProfilerTest, DisjointSpansUnionIsSum) {
   VirtualClock clock;
   SpanProfiler profiler(&clock);
-  profiler.RecordSpan(QueryStage::kRead, 1, 0, 40);
-  profiler.RecordSpan(QueryStage::kRead, 1, 100, 60);
+  profiler.RecordSpan(Stage::kRead, 1, 0, 40);
+  profiler.RecordSpan(Stage::kRead, 1, 100, 60);
   clock.SetNanos(200);
   profiler.End();
   const auto report = profiler.Aggregate();
-  const auto& read = report.stages[static_cast<size_t>(QueryStage::kRead)];
+  const auto& read = report.stages[static_cast<size_t>(Stage::kRead)];
   EXPECT_EQ(read.busy_nanos, 100);
   EXPECT_EQ(read.covered_nanos, 100);
   EXPECT_EQ(read.threads, 1u);
@@ -58,16 +58,16 @@ TEST(SpanProfilerTest, DisjointSpansUnionIsSum) {
 TEST(SpanProfilerTest, CriticalPathIsLargestCoveredBusyStage) {
   VirtualClock clock;
   SpanProfiler profiler(&clock);
-  profiler.RecordSpan(QueryStage::kRead, 1, 0, 120);
-  profiler.RecordSpan(QueryStage::kParse, 2, 0, 80);
+  profiler.RecordSpan(Stage::kRead, 1, 0, 120);
+  profiler.RecordSpan(Stage::kParse, 2, 0, 80);
   // A wait category with the largest coverage must NOT win the critical
   // path: it is blocked time, not busy time.
-  profiler.RecordSpan(QueryStage::kDiskWait, 3, 0, 190);
+  profiler.RecordSpan(Stage::kDiskWait, 3, 0, 190);
   clock.SetNanos(200);
   profiler.End();
 
   const auto report = profiler.Aggregate();
-  EXPECT_EQ(report.critical_stage, QueryStage::kRead);
+  EXPECT_EQ(report.critical_stage, Stage::kRead);
   EXPECT_EQ(report.critical_covered_nanos, 120);
   EXPECT_NEAR(report.critical_fraction, 0.6, 1e-9);
   EXPECT_EQ(report.blocked_nanos_total, 190);
@@ -79,28 +79,29 @@ TEST(SpanProfilerTest, ScopeRecordsOnCurrentThread) {
   VirtualClock clock;
   SpanProfiler profiler(&clock);
   {
-    SpanProfiler::Scope scope(&profiler, QueryStage::kTokenize);
+    StageScope scope({.spans = &profiler, .clock = &clock},
+                     Stage::kTokenize);
     clock.AdvanceNanos(70);
   }
   clock.SetNanos(100);
   profiler.End();
   const auto report = profiler.Aggregate();
   const auto& tok =
-      report.stages[static_cast<size_t>(QueryStage::kTokenize)];
+      report.stages[static_cast<size_t>(Stage::kTokenize)];
   EXPECT_EQ(tok.spans, 1u);
   EXPECT_EQ(tok.busy_nanos, 70);
 }
 
 TEST(SpanProfilerTest, NullProfilerScopeIsNoop) {
-  SpanProfiler::Scope scope(nullptr, QueryStage::kParse);  // must not crash
+  StageScope scope({.spans = nullptr}, Stage::kParse);  // must not crash
 }
 
 TEST(SpanProfilerTest, AccountingIdentityHolds) {
   VirtualClock clock;
   SpanProfiler profiler(&clock);
-  profiler.RecordSpan(QueryStage::kRead, 1, 0, 100);
-  profiler.RecordSpan(QueryStage::kParse, 2, 20, 50);
-  profiler.RecordSpan(QueryStage::kThrottleWait, 1, 100, 30);
+  profiler.RecordSpan(Stage::kRead, 1, 0, 100);
+  profiler.RecordSpan(Stage::kParse, 2, 20, 50);
+  profiler.RecordSpan(Stage::kThrottleWait, 1, 100, 30);
   clock.SetNanos(200);
   profiler.End();
 
@@ -122,13 +123,13 @@ TEST(SpanProfilerTest, OverflowCountsButBoundsMemory) {
   VirtualClock clock;
   SpanProfiler profiler(&clock, /*max_spans_per_stage=*/4);
   for (int i = 0; i < 10; ++i) {
-    profiler.RecordSpan(QueryStage::kEngine, 1, i * 10, 5);
+    profiler.RecordSpan(Stage::kEngine, 1, i * 10, 5);
   }
   clock.SetNanos(200);
   profiler.End();
   const auto report = profiler.Aggregate();
   const auto& engine =
-      report.stages[static_cast<size_t>(QueryStage::kEngine)];
+      report.stages[static_cast<size_t>(Stage::kEngine)];
   EXPECT_EQ(engine.spans, 10u);      // all spans counted
   EXPECT_EQ(engine.busy_nanos, 50);  // busy time keeps accumulating
   EXPECT_EQ(report.spans_dropped, 6u);
@@ -139,8 +140,8 @@ TEST(SpanProfilerTest, OverflowCountsButBoundsMemory) {
 ExplainReport MakeReport() {
   VirtualClock clock;
   SpanProfiler profiler(&clock);
-  profiler.RecordSpan(QueryStage::kRead, 1, 0, 150'000'000);
-  profiler.RecordSpan(QueryStage::kParse, 2, 0, 60'000'000);
+  profiler.RecordSpan(Stage::kRead, 1, 0, 150'000'000);
+  profiler.RecordSpan(Stage::kParse, 2, 0, 60'000'000);
   clock.SetNanos(200'000'000);
   profiler.End();
 

@@ -48,7 +48,7 @@ class FlightRecorderTest : public testing::Test {
 
 TEST_F(FlightRecorderTest, RecordsAndDumpsEvents) {
   FlightRecord(FlightEvent::kQueryBegin, 3, 2);
-  FlightRecord(FlightEvent::kRead, 7, 4096);
+  FlightRecord(Stage::kRead, 7, 4096);
   FlightRecord(FlightEvent::kQueryEnd, 0, 137);
   EXPECT_EQ(FlightRecorder::Global()->events_recorded(), 3u);
   EXPECT_EQ(FlightRecorder::Global()->rings_used(), 1u);
@@ -63,7 +63,7 @@ TEST_F(FlightRecorderTest, RecordsAndDumpsEvents) {
 
 TEST_F(FlightRecorderTest, RingWrapsKeepingTheMostRecentEvents) {
   for (uint64_t i = 0; i < FlightRecorder::kRingEvents + 50; ++i) {
-    FlightRecord(FlightEvent::kParse, i, 0);
+    FlightRecord(Stage::kParse, i, 0);
   }
   EXPECT_EQ(FlightRecorder::Global()->events_recorded(),
             FlightRecorder::kRingEvents + 50);
@@ -89,7 +89,7 @@ TEST_F(FlightRecorderTest, EachThreadGetsItsOwnRing) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &recorded] {
       for (int i = 0; i < 100; ++i) {
-        FlightRecord(FlightEvent::kTokenize, static_cast<uint64_t>(t), i);
+        FlightRecord(Stage::kTokenize, static_cast<uint64_t>(t), i);
       }
       recorded.fetch_add(1);
       while (recorded.load() < kThreads) std::this_thread::yield();

@@ -167,12 +167,12 @@ TEST(JsonScanRawTest, MapCacheWorksForJson) {
   QuerySpec query;
   query.sum_columns = {0, 1, 2};
   ASSERT_TRUE(op.ExecuteQuery(query).ok());
-  const int64_t after_first = op.profile().tokenize_time.intervals();
+  const int64_t after_first = op.profile().stages.chunks(obs::Stage::kTokenize);
   auto r2 = op.ExecuteQuery(query);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->total_sum, info->total_sum);
   // JSON maps are always complete, so the second scan reuses all of them.
-  EXPECT_EQ(op.profile().tokenize_time.intervals(), after_first);
+  EXPECT_EQ(op.profile().stages.chunks(obs::Stage::kTokenize), after_first);
 }
 
 TEST(JsonScanRawTest, MalformedRowSurfacesCorruption) {

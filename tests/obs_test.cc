@@ -1,21 +1,27 @@
 // Tests for the obs/ building blocks in isolation: counters, gauges,
 // log-bucketed histograms (quantiles, reset, JSON), the chunk-lifecycle
-// tracer (ring wrap, Chrome export), the resource log, and the sampler
-// thread.
+// tracer (ring wrap, Chrome export), the stage event and its sinks, the
+// resource log, and the sampler thread.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/flight_recorder.h"
+#include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/resource_sampler.h"
+#include "obs/span_profiler.h"
+#include "obs/stage.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -198,12 +204,12 @@ TEST(JsonEscapeTest, EscapesControlAndQuotes) {
 
 TEST(ChunkTracerTest, RecordsSpansInOrder) {
   ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-  tracer.RecordSpan(TraceStage::kTokenize, ChunkSource::kRaw, 0, 1100, 70);
+  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
+  tracer.RecordSpan(Stage::kTokenize, ChunkSource::kRaw, 0, 1100, 70);
   auto events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].stage, TraceStage::kRead);
-  EXPECT_EQ(events[1].stage, TraceStage::kTokenize);
+  EXPECT_EQ(events[0].stage, Stage::kRead);
+  EXPECT_EQ(events[1].stage, Stage::kTokenize);
   EXPECT_EQ(tracer.recorded(), 2u);
   EXPECT_EQ(tracer.dropped(), 0u);
 }
@@ -211,7 +217,7 @@ TEST(ChunkTracerTest, RecordsSpansInOrder) {
 TEST(ChunkTracerTest, RingWrapKeepsNewestAndCountsDropped) {
   ChunkTracer tracer(4);
   for (uint64_t i = 0; i < 10; ++i) {
-    tracer.RecordSpan(TraceStage::kParse, ChunkSource::kRaw, i, 1000 + i, 1);
+    tracer.RecordSpan(Stage::kParse, ChunkSource::kRaw, i, 1000 + i, 1);
   }
   auto events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 4u);
@@ -224,14 +230,14 @@ TEST(ChunkTracerTest, RingWrapKeepsNewestAndCountsDropped) {
 TEST(ChunkTracerTest, ZeroCapacityDisablesRecording) {
   ChunkTracer tracer(0);
   EXPECT_FALSE(tracer.enabled());
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 0, 1);
+  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 0, 1);
   EXPECT_TRUE(tracer.Snapshot().empty());
 }
 
 TEST(ChunkTracerTest, ChromeExportShape) {
   ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kDb, 3, 5000, 2000);
-  tracer.RecordInstant(TraceStage::kSpeculativeTrigger, 3);
+  tracer.RecordSpan(Stage::kRead, ChunkSource::kDb, 3, 5000, 2000);
+  tracer.RecordInstant(TraceInstant::kSpeculativeTrigger, 3);
   const std::string json = tracer.ToChromeTraceJson();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -245,7 +251,7 @@ TEST(ChunkTracerTest, ChromeExportShape) {
 
 TEST(ChunkTracerTest, LabelIsEscapedInChromeExport) {
   ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
+  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
 
   // Labels flow from user input (table names, file paths); quotes,
   // backslashes and control characters must not corrupt the JSON.
@@ -264,7 +270,7 @@ TEST(ChunkTracerTest, LabelIsEscapedInChromeExport) {
 
 TEST(ChunkTracerTest, EmptyLabelOmitsMetadataEvent) {
   ChunkTracer tracer(16);
-  tracer.RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 1000, 50);
+  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
   const std::string json = tracer.ToChromeTraceJson();
   EXPECT_EQ(json.find("\"ph\":\"M\""), std::string::npos);
 }
@@ -278,30 +284,149 @@ TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
   EXPECT_EQ(JsonEscape(""), "");
 }
 
-TEST(SpanRecorderTest, RecordsIntoTracerAndHistogram) {
-  ChunkTracer tracer(16);
-  Histogram latency;
-  {
-    SpanRecorder span(&tracer, &latency, TraceStage::kWrite,
-                      ChunkSource::kRaw);
-    span.set_chunk_index(42);
+// ------------------------------------------------------- stage events ---
+
+// Every sink a StageScope can feed, bound to one virtual clock.
+struct AllSinks {
+  VirtualClock clock;
+  SpanProfiler profiler{&clock};
+  ChunkTracer tracer{1 << 16};
+  Histogram parse_latency;
+  StageTotals totals;
+  StageHeartbeats heartbeats;
+
+  AllSinks() { totals.BindHistogram(Stage::kParse, &parse_latency); }
+
+  StageSinks Bound() {
+    return {.spans = &profiler,
+            .tracer = &tracer,
+            .totals = &totals,
+            .heartbeats = &heartbeats,
+            .flight = true,
+            .clock = &clock};
   }
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].stage, TraceStage::kWrite);
-  EXPECT_EQ(events[0].chunk_index, 42u);
-  EXPECT_EQ(latency.count(), 1u);
+};
+
+std::string FlightDump() {
+  const std::string path = testing::TempDir() + "/obs_test_flight.txt";
+  EXPECT_TRUE(FlightRecorder::Global()->DumpToFile(path.c_str()));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
-TEST(SpanRecorderTest, CancelSuppressesTraceButNotHistogram) {
-  ChunkTracer tracer(16);
-  Histogram latency;
+TEST(StageScopeTest, OneEventReachesEveryBoundSink) {
+  AllSinks sinks;
+  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
   {
-    SpanRecorder span(&tracer, &latency, TraceStage::kRead, ChunkSource::kRaw);
-    span.Cancel();
+    StageScope stage(sinks.Bound(), Stage::kParse, ChunkSource::kDb, 0);
+    sinks.clock.AdvanceNanos(250);
+    stage.set_chunk(7);
+    stage.set_detail(4242);
   }
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  EXPECT_EQ(latency.count(), 1u);
+
+  const auto report = sinks.profiler.Aggregate();
+  const auto& parse = report.stages[static_cast<size_t>(Stage::kParse)];
+  EXPECT_EQ(parse.spans, 1u);
+  EXPECT_EQ(parse.busy_nanos, 250);
+
+  const auto events = sinks.tracer.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].stage, Stage::kParse);
+  EXPECT_EQ(events[0].instant, TraceInstant::kNone);
+  EXPECT_EQ(events[0].source, ChunkSource::kDb);
+  EXPECT_EQ(events[0].chunk_index, 7u);
+  EXPECT_EQ(events[0].dur_nanos, 250);
+
+  EXPECT_EQ(sinks.totals.chunks(Stage::kParse), 1u);
+  EXPECT_EQ(sinks.totals.nanos(Stage::kParse), 250);
+  EXPECT_EQ(sinks.parse_latency.count(), 1u);
+  EXPECT_EQ(sinks.parse_latency.sum(), 250u);
+
+  EXPECT_EQ(sinks.heartbeats.beats(Stage::kParse), 1u);
+  EXPECT_EQ(sinks.heartbeats.active(Stage::kParse), 0);
+
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), flight_before + 1);
+  const std::string dump = FlightDump();
+  EXPECT_NE(dump.find("parse        a=7 b=4242"), std::string::npos) << dump;
+}
+
+TEST(StageScopeTest, NullSinksAreSkipped) {
+  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
+  { StageScope nothing({}, Stage::kRead); }  // must not crash
+
+  // Only the totals bound: nothing else hears of the event.
+  AllSinks sinks;
+  { StageScope stage({.totals = &sinks.totals}, Stage::kParse); }
+  EXPECT_EQ(sinks.totals.chunks(Stage::kParse), 1u);
+  EXPECT_EQ(sinks.parse_latency.count(), 1u);  // the totals' own mirror
+  const auto report = sinks.profiler.Aggregate();
+  EXPECT_EQ(report.stages[static_cast<size_t>(Stage::kParse)].spans, 0u);
+  EXPECT_EQ(sinks.tracer.recorded(), 0u);
+  EXPECT_EQ(sinks.heartbeats.beats(Stage::kParse), 0u);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), flight_before);
+}
+
+TEST(StageScopeTest, CancelSuppressesEverySink) {
+  AllSinks sinks;
+  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
+  {
+    StageScope stage(sinks.Bound(), Stage::kParse);
+    sinks.clock.AdvanceNanos(100);
+    stage.Cancel();
+  }
+  const auto report = sinks.profiler.Aggregate();
+  EXPECT_EQ(report.stages[static_cast<size_t>(Stage::kParse)].spans, 0u);
+  EXPECT_EQ(sinks.tracer.recorded(), 0u);
+  EXPECT_EQ(sinks.totals.chunks(Stage::kParse), 0u);
+  EXPECT_EQ(sinks.totals.nanos(Stage::kParse), 0);
+  EXPECT_EQ(sinks.parse_latency.count(), 0u);
+  EXPECT_EQ(sinks.heartbeats.beats(Stage::kParse), 0u);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), flight_before);
+}
+
+TEST(StageScopeTest, ConcurrentEventsAddUpExactly) {
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kEvents = 2000;
+  SpanProfiler profiler;
+  ChunkTracer tracer(kThreads * kEvents);
+  Histogram latency;
+  StageTotals totals;
+  totals.BindHistogram(Stage::kTokenize, &latency);
+  StageHeartbeats heartbeats;
+  const StageSinks sinks{.spans = &profiler,
+                         .tracer = &tracer,
+                         .totals = &totals,
+                         .heartbeats = &heartbeats,
+                         .flight = true};
+  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sinks, t] {
+      for (uint64_t i = 0; i < kEvents; ++i) {
+        StageScope stage(sinks, Stage::kTokenize, ChunkSource::kRaw,
+                         t * kEvents + i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  constexpr uint64_t kTotal = kThreads * kEvents;
+  const auto report = profiler.Aggregate();
+  const auto& tok = report.stages[static_cast<size_t>(Stage::kTokenize)];
+  EXPECT_EQ(tok.spans, kTotal);
+  EXPECT_EQ(tok.threads, kThreads);
+  EXPECT_EQ(tracer.recorded(), kTotal);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(totals.chunks(Stage::kTokenize), kTotal);
+  EXPECT_EQ(latency.count(), kTotal);
+  EXPECT_EQ(static_cast<uint64_t>(totals.nanos(Stage::kTokenize)),
+            latency.sum());
+  EXPECT_EQ(static_cast<uint64_t>(tok.busy_nanos), latency.sum());
+  EXPECT_EQ(heartbeats.beats(Stage::kTokenize), kTotal);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(),
+            flight_before + kTotal);
 }
 
 TEST(ResourceLogTest, BoundedRing) {
@@ -351,6 +476,22 @@ TEST(ResourceSamplerTest, TakesStartAndStopSamples) {
   sampler.Stop();  // idempotent
 }
 
+// Stop() right after Start() must not wait out the interval: the sampler
+// checks for a stop before it blocks, so the wake-up cannot be lost.
+TEST(ResourceSamplerTest, StopRightAfterStartReturnsPromptly) {
+  for (int round = 0; round < 3; ++round) {
+    ResourceLog log(16);
+    ResourceSampler sampler(
+        &log, [] { return ResourceSample(); }, std::chrono::seconds(5));
+    const auto start = std::chrono::steady_clock::now();
+    sampler.Start();
+    sampler.Stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_EQ(log.size(), 2u);  // the Start probe and the final one
+  }
+}
+
 TEST(ResourceSamplerTest, PeriodicSampling) {
   ResourceLog log(1024);
   ResourceSampler sampler(
@@ -366,7 +507,7 @@ TEST(ResourceSamplerTest, PeriodicSampling) {
 TEST(TelemetryTest, CombinedJsonExport) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("a")->Add(1);
-  telemetry.tracer().RecordSpan(TraceStage::kRead, ChunkSource::kRaw, 0, 0, 1);
+  telemetry.tracer().RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 0, 1);
   ResourceSample s;
   s.advice = "balanced";
   telemetry.resources().Append(std::move(s));

@@ -361,7 +361,7 @@ TEST_F(RecoveryTest, SpeculativeEnospcFallsBackToRawSide) {
   ScanRaw* op = (*manager)->GetOperator("t");
   ASSERT_NE(op, nullptr);
   op->WaitForWrites();
-  EXPECT_GT(op->profile().write_failures.load(), 0u);
+  EXPECT_GT(op->profile().Get(ProfileCounter::kWriteFailures), 0u);
   EXPECT_GT(
       (*manager)->telemetry()->metrics().GetCounter("scanraw.write_failures")
           ->value(),

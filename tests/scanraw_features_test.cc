@@ -114,7 +114,7 @@ TEST(MultiQueryTest, SingleSharedPassOverRawFile) {
   auto batch = op.ExecuteQueries({q1, q2});
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   // Both queries answered with exactly one pass: 8 raw chunk reads.
-  EXPECT_EQ(op.profile().chunks_from_raw.load(), 8u);
+  EXPECT_EQ(op.profile().Get(ProfileCounter::kChunksFromRaw), 8u);
   EXPECT_EQ((*batch)[0].total_sum, f.info.column_sums[0]);
   EXPECT_EQ((*batch)[1].total_sum, f.info.column_sums[1]);
 }
@@ -144,14 +144,16 @@ TEST(PositionalMapCacheTest, ReusedAcrossQueries) {
   auto r1 = op.ExecuteQuery(query);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(op.positional_maps().size(), 8u);
-  const int64_t tokenize_chunks_q1 = op.profile().tokenize_time.intervals();
+  const int64_t tokenize_chunks_q1 =
+      op.profile().stages.chunks(obs::Stage::kTokenize);
   EXPECT_EQ(tokenize_chunks_q1, 8);
 
   auto r2 = op.ExecuteQuery(query);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->total_sum, f.info.total_sum);
   // Second query reused every cached map: no new TOKENIZE work at all.
-  EXPECT_EQ(op.profile().tokenize_time.intervals(), tokenize_chunks_q1);
+  EXPECT_EQ(op.profile().stages.chunks(obs::Stage::kTokenize),
+            tokenize_chunks_q1);
 }
 
 TEST(PositionalMapCacheTest, PartialMapsExtended) {
@@ -366,7 +368,7 @@ TEST(WriteFailureTest, QueryStillSucceedsWhenLoadingFails) {
   // query-fatal write_status stays clean (only full/invisible loading treat
   // a failed write as a query error).
   EXPECT_TRUE(op.write_status().ok());
-  EXPECT_GT(op.profile().write_failures.load(), 0u);
+  EXPECT_GT(op.profile().Get(ProfileCounter::kWriteFailures), 0u);
   EXPECT_DOUBLE_EQ(catalog.GetTable("t")->LoadedFraction(), 0.0);
   // A follow-up query is still correct.
   auto again = op.ExecuteQuery(query);

@@ -226,7 +226,8 @@ TEST_F(ScanRawTest, SubsetQueryServedFromDbSegments) {
   ASSERT_NE(op, nullptr);
   // Nothing new read from raw during the second query: chunks came from the
   // cache or the database.
-  EXPECT_EQ(op->profile().chunks_from_raw.load(), kRows / kChunkRows);
+  EXPECT_EQ(op->profile().Get(ProfileCounter::kChunksFromRaw),
+            kRows / kChunkRows);
 }
 
 TEST_F(ScanRawTest, RangePredicateWithChunkSkipping) {
@@ -266,12 +267,14 @@ TEST_F(ScanRawTest, CacheHitsOnSecondQuery) {
   ASSERT_TRUE(manager->Query("t", SumAllQuery()).ok());
   ScanRaw* op = manager->GetOperator("t");
   ASSERT_NE(op, nullptr);
-  const uint64_t raw_after_first = op->profile().chunks_from_raw.load();
+  const uint64_t raw_after_first =
+      op->profile().Get(ProfileCounter::kChunksFromRaw);
   EXPECT_EQ(raw_after_first, kRows / kChunkRows);
   ASSERT_TRUE(manager->Query("t", SumAllQuery()).ok());
   // Second query fully served from cache: no additional raw reads.
-  EXPECT_EQ(op->profile().chunks_from_raw.load(), raw_after_first);
-  EXPECT_EQ(op->profile().chunks_from_cache.load(), kRows / kChunkRows);
+  EXPECT_EQ(op->profile().Get(ProfileCounter::kChunksFromRaw), raw_after_first);
+  EXPECT_EQ(op->profile().Get(ProfileCounter::kChunksFromCache),
+            kRows / kChunkRows);
 }
 
 TEST_F(ScanRawTest, AbandonedQueryRunShutsDownCleanly) {

@@ -160,13 +160,13 @@ TEST(StatsServerTest, HealthzTracksWatchdogStalls) {
   EXPECT_TRUE(healthy);
 
   Logger::Global()->SetStderrEnabled(false);
-  telemetry.heartbeats().Enter(HeartbeatStage::kTokenize);
+  telemetry.heartbeats().Enter(Stage::kTokenize);
   dog.CheckNow();
   clock.AdvanceNanos(1'000'000);
   dog.CheckNow();
   clock.AdvanceNanos(20'000'000);
   dog.CheckNow();
-  telemetry.heartbeats().Leave(HeartbeatStage::kTokenize);
+  telemetry.heartbeats().Leave(Stage::kTokenize);
   Logger::Global()->SetStderrEnabled(true);
   ASSERT_EQ(dog.stalls_detected(), 1u);
 

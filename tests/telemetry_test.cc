@@ -179,27 +179,28 @@ TEST(ProfileReconcileTest, CountersMatchCatalogAfterTwoQueries) {
     if (cm.HasColumnsLoaded(all_columns)) ++loaded_chunks;
   }
   // Exactly-once loading: one write per loaded chunk, no rewrites.
-  EXPECT_EQ(profile.chunks_written.load(), loaded_chunks);
+  EXPECT_EQ(profile.Get(ProfileCounter::kChunksWritten), loaded_chunks);
 
   // Both passes delivered all 8 chunks, each attributed to exactly one
   // source.
-  EXPECT_EQ(profile.chunks_from_raw.load() + profile.chunks_from_db.load() +
-                profile.chunks_from_cache.load(),
+  EXPECT_EQ(profile.Get(ProfileCounter::kChunksFromRaw) +
+                profile.Get(ProfileCounter::kChunksFromDb) +
+                profile.Get(ProfileCounter::kChunksFromCache),
             16u);
   // The first pass had no binary data anywhere: 8 raw conversions.
-  EXPECT_GE(profile.chunks_from_raw.load(), 8u);
+  EXPECT_GE(profile.Get(ProfileCounter::kChunksFromRaw), 8u);
 
   // The registry mirrors (bound via the manager's telemetry) agree with the
   // atomics they shadow.
   obs::MetricsRegistry& registry = f.manager->telemetry()->metrics();
   EXPECT_EQ(registry.GetCounter("scanraw.chunks_written")->value(),
-            profile.chunks_written.load());
+            profile.Get(ProfileCounter::kChunksWritten));
   EXPECT_EQ(registry.GetCounter("scanraw.chunks_from_raw")->value(),
-            profile.chunks_from_raw.load());
+            profile.Get(ProfileCounter::kChunksFromRaw));
   EXPECT_EQ(registry.GetCounter("scanraw.chunks_from_cache")->value(),
-            profile.chunks_from_cache.load());
+            profile.Get(ProfileCounter::kChunksFromCache));
   EXPECT_EQ(registry.GetCounter("scanraw.chunks_from_db")->value(),
-            profile.chunks_from_db.load());
+            profile.Get(ProfileCounter::kChunksFromDb));
 }
 
 TEST(ProfileReconcileTest, ResetClearsRegistryMirrors) {
@@ -217,10 +218,46 @@ TEST(ProfileReconcileTest, ResetClearsRegistryMirrors) {
 
   // Quiesced (no QueryRun live, writes drained): Reset may run.
   op->profile().Reset();
-  EXPECT_EQ(op->profile().chunks_from_raw.load(), 0u);
+  EXPECT_EQ(op->profile().Get(ProfileCounter::kChunksFromRaw), 0u);
   EXPECT_EQ(registry.GetCounter("scanraw.chunks_from_raw")->value(), 0u);
   EXPECT_EQ(registry.GetHistogram("scanraw.stage.read_nanos")->count(), 0u);
   EXPECT_EQ(registry.GetHistogram("scanraw.stage.parse_nanos")->count(), 0u);
+}
+
+// Every sink of the READ stage event counts each chunk read exactly once:
+// the discovery scan's final EOF probe reads no chunk, so it must vanish
+// from the histogram, the per-operator totals, EXPLAIN and the tracer alike.
+TEST(ProfileReconcileTest, DiscoveryScanCountsEachReadOnce) {
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  auto f = Fixture::Make("eof_probe", options);
+  QuerySpec q;
+  for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);
+  obs::ExplainReport explain;
+  auto result = f.manager->Query("t", q, &explain);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, f.info.total_sum);
+  ScanRaw* op = f.manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+
+  const uint64_t chunks = op->profile().Get(ProfileCounter::kChunksFromRaw);
+  EXPECT_EQ(chunks, 8u);
+  obs::MetricsRegistry& registry = f.manager->telemetry()->metrics();
+  EXPECT_EQ(registry.GetHistogram("scanraw.stage.read_nanos")->count(),
+            chunks);
+  EXPECT_EQ(op->profile().stages.chunks(obs::Stage::kRead), chunks);
+  uint64_t explain_reads = 0;
+  for (const obs::ExplainStage& stage : explain.stages) {
+    if (stage.name == "READ") explain_reads = stage.spans;
+  }
+  EXPECT_EQ(explain_reads, chunks);
+  uint64_t traced_reads = 0;
+  for (const obs::TraceEvent& e : f.manager->telemetry()->tracer().Snapshot()) {
+    if (e.instant == obs::TraceInstant::kNone && e.stage == obs::Stage::kRead) {
+      ++traced_reads;
+    }
+  }
+  EXPECT_EQ(traced_reads, chunks);
 }
 
 // -------------------------------------------------- manager integration ---
@@ -281,6 +318,32 @@ TEST(ManagerTelemetryTest, StageHistogramsAndCacheCountersPopulate) {
   EXPECT_EQ(advice_total, telemetry->resources().total_appended());
 }
 
+// A scan answered entirely from the chunk cache still beats READ's
+// heartbeat once per chunk, so the watchdog never mistakes a long
+// cache-only scan for a stalled READ loop.
+TEST(ManagerTelemetryTest, CacheOnlyScanBeatsReadOncePerChunk) {
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  options.cache_capacity_chunks = 8;
+  auto f = Fixture::Make("cache_beats", options);
+  QuerySpec q;
+  q.sum_columns = {0};
+  ASSERT_TRUE(f.manager->Query("t", q).ok());
+  ScanRaw* op = f.manager->GetOperator("t");
+  ASSERT_NE(op, nullptr);
+
+  const obs::StageHeartbeats& heartbeats = f.manager->telemetry()->heartbeats();
+  const uint64_t beats_before = heartbeats.beats(obs::Stage::kRead);
+  const PipelineProfile::Counts before = op->profile().Snapshot();
+  auto result = op->ExecuteQuery(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const PipelineProfile::Counts delta = op->profile().Snapshot() - before;
+  ASSERT_EQ(delta[ProfileCounter::kChunksFromCache], 8u);
+  ASSERT_EQ(delta[ProfileCounter::kChunksFromRaw], 0u);
+  // One beat per chunk, plus the READ loop's own enter and leave.
+  EXPECT_EQ(heartbeats.beats(obs::Stage::kRead) - beats_before, 8u + 2u);
+}
+
 TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
   auto f = Fixture::Make("trace", BaseOptions());
   QuerySpec q;
@@ -300,17 +363,17 @@ TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
     bool read = false, tokenize = false, parse = false;
     for (const obs::TraceEvent& e : events) {
       if (e.chunk_index != chunk) continue;
-      read = read || e.stage == obs::TraceStage::kRead;
-      tokenize = tokenize || e.stage == obs::TraceStage::kTokenize;
-      parse = parse || e.stage == obs::TraceStage::kParse;
+      read = read || e.stage == obs::Stage::kRead;
+      tokenize = tokenize || e.stage == obs::Stage::kTokenize;
+      parse = parse || e.stage == obs::Stage::kParse;
     }
     EXPECT_TRUE(read && tokenize && parse) << "chunk " << chunk;
   }
   uint64_t writes = 0;
   for (const obs::TraceEvent& e : events) {
-    if (e.stage == obs::TraceStage::kWrite) ++writes;
+    if (e.stage == obs::Stage::kWrite) ++writes;
   }
-  EXPECT_EQ(writes, op->profile().chunks_written.load());
+  EXPECT_EQ(writes, op->profile().Get(ProfileCounter::kChunksWritten));
 
   const std::string json = tracer.ToChromeTraceJson();
   EXPECT_EQ(json.front(), '[');

@@ -18,7 +18,7 @@
 namespace scanraw {
 namespace {
 
-using obs::HeartbeatStage;
+using obs::Stage;
 using obs::StageHeartbeats;
 using obs::Watchdog;
 using obs::WatchdogOptions;
@@ -53,7 +53,7 @@ TEST_F(WatchdogTest, DetectsFrozenActiveStage) {
   options.flight_dump_path = TestPath("dump.txt");
   Watchdog dog(&hb, options);
 
-  hb.Enter(HeartbeatStage::kRead);
+  hb.Enter(Stage::kRead);
   dog.CheckNow();  // sees fresh beats: progress
   clock.AdvanceNanos(50 * kMsNanos);
   dog.CheckNow();  // frozen; episode starts here
@@ -67,7 +67,7 @@ TEST_F(WatchdogTest, DetectsFrozenActiveStage) {
 
   auto reports = dog.Reports();
   ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].stage, HeartbeatStage::kRead);
+  EXPECT_EQ(reports[0].stage, Stage::kRead);
   EXPECT_GE(reports[0].stalled_ms, 100);
   EXPECT_EQ(reports[0].active, 1);
   // The stall dumped the flight recorder to the requested path.
@@ -75,7 +75,7 @@ TEST_F(WatchdogTest, DetectsFrozenActiveStage) {
   auto dump = ReadFileToString(options.flight_dump_path);
   ASSERT_TRUE(dump.ok());
   EXPECT_FALSE(dump->empty());
-  hb.Leave(HeartbeatStage::kRead);
+  hb.Leave(Stage::kRead);
 }
 
 TEST_F(WatchdogTest, IdleStageNeverAlarms) {
@@ -103,7 +103,7 @@ TEST_F(WatchdogTest, OneReportPerEpisodeRealarmsAfterProgress) {
   options.flight_dump_path = TestPath("dump.txt");
   Watchdog dog(&hb, options);
 
-  hb.Enter(HeartbeatStage::kParse);
+  hb.Enter(Stage::kParse);
   dog.CheckNow();
   auto stall_once = [&] {
     clock.AdvanceNanos(10 * kMsNanos);
@@ -120,11 +120,11 @@ TEST_F(WatchdogTest, OneReportPerEpisodeRealarmsAfterProgress) {
   }
   EXPECT_EQ(dog.stalls_detected(), 1u);
   // Progress resumes, then the stage wedges again: a new episode alarms.
-  hb.Beat(HeartbeatStage::kParse);
+  hb.Beat(Stage::kParse);
   dog.CheckNow();
   stall_once();
   EXPECT_EQ(dog.stalls_detected(), 2u);
-  hb.Leave(HeartbeatStage::kParse);
+  hb.Leave(Stage::kParse);
 }
 
 TEST_F(WatchdogTest, EnvVarSuppliesDumpPathWhenOptionEmpty) {
@@ -136,7 +136,7 @@ TEST_F(WatchdogTest, EnvVarSuppliesDumpPathWhenOptionEmpty) {
   options.window_ms = 50;
   options.clock = &clock;  // flight_dump_path left empty
   Watchdog dog(&hb, options);
-  hb.Enter(HeartbeatStage::kWrite);
+  hb.Enter(Stage::kWrite);
   dog.CheckNow();
   clock.AdvanceNanos(10 * kMsNanos);
   dog.CheckNow();
@@ -145,7 +145,7 @@ TEST_F(WatchdogTest, EnvVarSuppliesDumpPathWhenOptionEmpty) {
   ASSERT_EQ(unsetenv("SCANRAW_FLIGHT_DUMP"), 0);
   ASSERT_EQ(dog.stalls_detected(), 1u);
   EXPECT_TRUE(FileExists(env_path));
-  hb.Leave(HeartbeatStage::kWrite);
+  hb.Leave(Stage::kWrite);
 }
 
 TEST_F(WatchdogTest, BackgroundThreadAlarmsWithinTwiceTheWindow) {
@@ -154,7 +154,7 @@ TEST_F(WatchdogTest, BackgroundThreadAlarmsWithinTwiceTheWindow) {
   options.window_ms = 50;  // real clock; check interval defaults to 12 ms
   options.flight_dump_path = TestPath("dump.txt");
   Watchdog dog(&hb, options);
-  hb.Enter(HeartbeatStage::kRead);
+  hb.Enter(Stage::kRead);
   dog.Start();
   const int64_t deadline =
       RealClock::Instance()->NowNanos() + 2 * 50 * kMsNanos + 50 * kMsNanos;
@@ -164,7 +164,7 @@ TEST_F(WatchdogTest, BackgroundThreadAlarmsWithinTwiceTheWindow) {
   }
   dog.Stop();
   EXPECT_GE(dog.stalls_detected(), 1u);
-  hb.Leave(HeartbeatStage::kRead);
+  hb.Leave(Stage::kRead);
 }
 
 // Integration: a real scan whose raw-file reads hang (fault-injected device
@@ -231,8 +231,8 @@ TEST_F(WatchdogScanTest, InjectedReadStallProducesReportAndFlightDump) {
   ASSERT_FALSE(reports.empty());
   bool read_stall = false;
   for (const auto& r : reports) {
-    if (r.stage == HeartbeatStage::kRead ||
-        r.stage == HeartbeatStage::kArbiter) {
+    if (r.stage == Stage::kRead ||
+        r.stage == Stage::kDiskWait) {
       read_stall = true;
       EXPECT_GE(r.stalled_ms, 80);
     }
