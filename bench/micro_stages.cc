@@ -69,6 +69,30 @@ TextChunk MakeDoubleCsvChunk(size_t columns, size_t rows) {
   return MakeTextChunk(std::move(data));
 }
 
+Schema AllInt64Schema(size_t count) {
+  std::vector<ColumnDef> cols(count);
+  for (size_t i = 0; i < count; ++i) {
+    cols[i].name = "I" + std::to_string(i);
+    cols[i].type = FieldType::kInt64;
+  }
+  return Schema(std::move(cols));
+}
+
+// Signed 48-bit values (up to 15 digits plus a sign), half of them
+// negative.
+TextChunk MakeInt64CsvChunk(size_t columns, size_t rows) {
+  Random rng(64);
+  std::string data;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < columns; ++c) {
+      if (c > 0) data.push_back(',');
+      data += std::to_string(static_cast<int64_t>(rng.NextUint64()) >> 16);
+    }
+    data.push_back('\n');
+  }
+  return MakeTextChunk(std::move(data));
+}
+
 // ------------------------------------------------------- golden harness ---
 
 // Seconds per call, min over `reps` repetitions of a calibrated batch. The
@@ -105,6 +129,7 @@ int RunGolden() {
   static const TextChunk u32_16 = MakeCsvChunk(16, kRows);
   static const TextChunk u32_64 = MakeCsvChunk(64, kRows);
   static const TextChunk dbl_16 = MakeDoubleCsvChunk(16, kRows);
+  static const TextChunk i64_16 = MakeInt64CsvChunk(16, kRows);
 
   auto tokenize_case = [](const TextChunk& chunk, size_t columns,
                           const char* key) {
@@ -180,6 +205,7 @@ int RunGolden() {
   cases.push_back(parse_case(u32_16, Schema::AllUint32(16), "parse_u32/16"));
   cases.push_back(parse_case(u32_64, Schema::AllUint32(64), "parse_u32/64"));
   cases.push_back(parse_case(dbl_16, AllDoubleSchema(16), "parse_dbl/16"));
+  cases.push_back(parse_case(i64_16, AllInt64Schema(16), "parse_i64/16"));
 
   bench::TablePrinter table({"stage", "ms_per_chunk"});
   bench::TablePrinter scalar_table({"stage", "ms_per_chunk"});

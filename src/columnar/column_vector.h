@@ -4,8 +4,10 @@
 #ifndef SCANRAW_COLUMNAR_COLUMN_VECTOR_H_
 #define SCANRAW_COLUMNAR_COLUMN_VECTOR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +33,17 @@ class ColumnBufferSource {
   virtual void ReleaseString(std::string buffer) = 0;
   virtual void ReleaseOffsets(std::vector<uint32_t> buffer) = 0;
 };
+
+// double -> int64, truncating toward zero like static_cast, but defined for
+// every input: NaN maps to 0 and values outside int64's range (including
+// ±inf) clamp to INT64_MIN / INT64_MAX, where a plain cast is undefined.
+inline int64_t SaturatingToInt64(double v) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(v)) return 0;
+  if (v >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (v <= -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(v);
+}
 
 class ColumnVector {
  public:
@@ -112,8 +125,8 @@ class ColumnVector {
         .substr(string_offsets_[i], string_offsets_[i + 1] - string_offsets_[i]);
   }
 
-  // Scalar access by row, returned as int64 (uint32 widened); only valid for
-  // numeric columns.
+  // Scalar access by row, returned as int64 (uint32 widened, double
+  // truncated by SaturatingToInt64); only valid for numeric columns.
   int64_t NumericAt(size_t i) const {
     switch (type_) {
       case FieldType::kUint32:
@@ -121,7 +134,7 @@ class ColumnVector {
       case FieldType::kInt64:
         return AsInt64()[i];
       case FieldType::kDouble:
-        return static_cast<int64_t>(AsDouble()[i]);
+        return SaturatingToInt64(AsDouble()[i]);
       case FieldType::kString:
         break;
     }

@@ -14,19 +14,13 @@ namespace {
 // static_cast<int64_t> truncates toward zero — min -3.5 became -3, wrongly
 // excluding -3.5 from the zone map.
 int64_t FloorToInt64(double v) {
-  if (std::isnan(v)) return std::numeric_limits<int64_t>::min();
-  const double f = std::floor(v);
-  if (f < -9.2233720368547758e18) return std::numeric_limits<int64_t>::min();
-  if (f >= 9.2233720368547758e18) return std::numeric_limits<int64_t>::max();
-  return static_cast<int64_t>(f);
+  return std::isnan(v) ? std::numeric_limits<int64_t>::min()
+                       : SaturatingToInt64(std::floor(v));
 }
 
 int64_t CeilToInt64(double v) {
-  if (std::isnan(v)) return std::numeric_limits<int64_t>::max();
-  const double c = std::ceil(v);
-  if (c < -9.2233720368547758e18) return std::numeric_limits<int64_t>::min();
-  if (c >= 9.2233720368547758e18) return std::numeric_limits<int64_t>::max();
-  return static_cast<int64_t>(c);
+  return std::isnan(v) ? std::numeric_limits<int64_t>::max()
+                       : SaturatingToInt64(std::ceil(v));
 }
 
 }  // namespace

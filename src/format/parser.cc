@@ -1,8 +1,10 @@
 #include "format/parser.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/string_util.h"
@@ -123,62 +125,110 @@ Result<double> ParseDouble(std::string_view text) {
 
 namespace {
 
-Result<int64_t> ParseNumeric(std::string_view text, FieldType type) {
+// Classifies a field the fast path rejected by re-running the
+// Result-returning parser on it. Only runs after a parse has already
+// failed, so the hot loops stay allocation-free.
+Status FieldStatus(std::string_view field, FieldType type) {
   switch (type) {
-    case FieldType::kUint32: {
-      auto v = ParseUint32(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
+    case FieldType::kUint32:
+      return ParseUint32(field).status();
     case FieldType::kInt64:
-      return ParseInt64(text);
-    case FieldType::kDouble: {
-      auto v = ParseDouble(text);
-      if (!v.ok()) return v.status();
-      return static_cast<int64_t>(*v);
-    }
+      return ParseInt64(field).status();
+    case FieldType::kDouble:
+      return ParseDouble(field).status();
     case FieldType::kString:
       break;
   }
-  return Status::InvalidArgument("push-down filter on non-numeric column");
+  return Status::Internal("unknown field type");
 }
 
-// Builds the full error for a field the Try* fast path rejected: the
-// classified scalar message (reproduced via the Result-returning parser)
-// wrapped with chunk/row/col context. Only runs after a parse has already
-// failed, so the hot loops stay allocation-free.
-Status FieldError(const TextChunk& chunk, size_t r, size_t c,
-                  std::string_view field, FieldType type) {
-  Status s = [&]() -> Status {
-    switch (type) {
-      case FieldType::kUint32:
-        return ParseUint32(field).status();
-      case FieldType::kInt64:
-        return ParseInt64(field).status();
-      case FieldType::kDouble:
-        return ParseDouble(field).status();
-      case FieldType::kString:
-        break;
-    }
-    return Status::Internal("unknown field type");
-  }();
-  return Status(
-      s.code(),
-      StringPrintf("chunk %llu row %zu col %zu: ",
-                   static_cast<unsigned long long>(chunk.chunk_index), r, c) +
-          std::string(s.message()));
+std::string_view FieldText(const TextChunk& chunk, const PositionalMap& map,
+                           size_t r, size_t c) {
+  const uint32_t s = map.FieldStart(r, c);
+  return std::string_view(chunk.data).substr(s, map.FieldEnd(r, c) - s);
 }
+
+constexpr uint64_t kBytes(uint8_t b) { return 0x0101010101010101ull * b; }
+
+// kPadMask[len .. len + 16) is 0xFF over the 16 - len window bytes in front
+// of a len-byte field and 0 over the field itself.
+constexpr unsigned char kPadMask[32] = {
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+
+// Eight ASCII digits, first digit in the low byte, folded to their value.
+uint64_t EightDigits(uint64_t w) {
+  w = ((w & kBytes(0x0F)) * 2561) >> 8;
+  w = ((w & 0x00FF00FF00FF00FFull) * 6553601) >> 16;
+  return ((w & 0x0000FFFF0000FFFFull) * 42949672960001ull) >> 32;
+}
+
+// SWAR ("SIMD within a register") digit kernel for the field [s, e) of
+// `base`. Loads the 16 bytes ending at `e`, overwrites the bytes in front
+// of the field with '0', checks all 16 are digits with one nibble test per
+// 64-bit word, and folds each word in three multiplies. Returns false for
+// an empty field, a field over 16 bytes, a non-digit byte, or a field
+// ending fewer than 16 bytes into the buffer (the readable window is
+// [e - 16, e)); callers then fall back to TryParse*, which alone define
+// the accepted grammar — the kernel accepts a strict subset of it.
+bool ParseDigits16(const char* base, uint32_t s, uint32_t e, uint64_t* out) {
+  if constexpr (std::endian::native != std::endian::little) return false;
+  const uint32_t len = e - s;
+  if (len - 1 >= 16 || e < 16) return false;
+  uint64_t w[2];
+  uint64_t pad[2];
+  std::memcpy(w, base + e - 16, sizeof(w));
+  std::memcpy(pad, kPadMask + len, sizeof(pad));
+  uint64_t bad = 0;
+  for (int i = 0; i < 2; ++i) {
+    w[i] = (w[i] & ~pad[i]) | (kBytes('0') & pad[i]);
+    // Zero iff every byte is 0x30..0x39: high nibble 3, and still 3 after
+    // adding 6 (a carry out of a byte only follows a failing byte).
+    bad |= ((w[i] & kBytes(0xF0)) |
+            (((w[i] + kBytes(0x06)) & kBytes(0xF0)) >> 4)) ^
+           kBytes(0x33);
+  }
+  if (bad != 0) return false;
+  *out = EightDigits(w[0]) * 100000000 + EightDigits(w[1]);
+  return true;
+}
+
+bool ConvertUint32(const char* base, uint32_t s, uint32_t e, uint32_t* out) {
+  uint64_t v = 0;
+  if (ParseDigits16(base, s, e, &v) && v <= UINT32_MAX) {
+    *out = static_cast<uint32_t>(v);
+    return true;
+  }
+  return TryParseUint32(base + s, base + e, out);
+}
+
+bool ConvertInt64(const char* base, uint32_t s, uint32_t e, int64_t* out) {
+  // One leading sign is stripped; whatever follows must be 1-16 digits
+  // (16 digits never overflow int64), else TryParseInt64 decides.
+  const bool negative = s < e && base[s] == '-';
+  const uint32_t ds = s + (negative || (s < e && base[s] == '+'));
+  uint64_t v = 0;
+  if (ParseDigits16(base, ds, e, &v)) {
+    *out = negative ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+    return true;
+  }
+  return TryParseInt64(base + s, base + e, out);
+}
+
+// Row index ParseBlockTyped returns when every field converted.
+constexpr size_t kAllParsed = SIZE_MAX;
 
 // Converts `bn` selected rows starting at selection index `b0` of column
 // `c` in one typed loop, templated on a span provider `span(i, &r, &s, &e)`
 // so the compact fast path (hoisted row stride, loop-invariant end
 // adjustment) and the generic path share the per-type bodies. The type
 // switch runs once per block instead of once per field, and fixed-width
-// output lands in a single bulk-resized block.
+// output lands in a single bulk-resized block. Returns the row of the
+// first field that fails to convert, or kAllParsed.
 template <typename SpanFn>
-Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
-                       size_t bn, const ParseOptions& options,
-                       ColumnVector* out, SpanFn span) {
+size_t ParseBlockTyped(const TextChunk& chunk, FieldType type, size_t bn,
+                       const ParseOptions& options, ColumnVector* out,
+                       SpanFn span) {
   const std::string_view data(chunk.data);
   const char* base = data.data();
   size_t r = 0;
@@ -189,31 +239,25 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
       uint32_t* dst = out->AppendUint32Block(bn);
       for (size_t i = 0; i < bn; ++i) {
         span(i, &r, &s, &e);
-        if (!TryParseUint32(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
-        }
+        if (!ConvertUint32(base, s, e, &dst[i])) return r;
       }
-      return Status::OK();
+      break;
     }
     case FieldType::kInt64: {
       int64_t* dst = out->AppendInt64Block(bn);
       for (size_t i = 0; i < bn; ++i) {
         span(i, &r, &s, &e);
-        if (!TryParseInt64(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
-        }
+        if (!ConvertInt64(base, s, e, &dst[i])) return r;
       }
-      return Status::OK();
+      break;
     }
     case FieldType::kDouble: {
       double* dst = out->AppendDoubleBlock(bn);
       for (size_t i = 0; i < bn; ++i) {
         span(i, &r, &s, &e);
-        if (!TryParseDouble(base + s, base + e, &dst[i])) {
-          return FieldError(chunk, r, c, data.substr(s, e - s), type);
-        }
+        if (!TryParseDouble(base + s, base + e, &dst[i])) return r;
       }
-      return Status::OK();
+      break;
     }
     case FieldType::kString: {
       const char quote = options.quote;
@@ -239,15 +283,16 @@ Status ParseBlockTyped(const TextChunk& chunk, size_t c, FieldType type,
         }
         out->AppendString(collapsed);
       }
-      return Status::OK();
+      break;
     }
   }
-  return Status::Internal("unknown field type");
+  return kAllParsed;
 }
 
 // One block of one column. `sel` lists the surviving row indexes (null =
-// all rows); `b0` is the block's first selection index.
-Status ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
+// all rows); `b0` is the block's first selection index. Returns the row of
+// the first field that fails to convert, or kAllParsed.
+size_t ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
                         size_t c, FieldType type, const uint32_t* sel,
                         size_t b0, size_t bn, const ParseOptions& options,
                         ColumnVector* out) {
@@ -259,7 +304,7 @@ Status ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
     const uint32_t* slot = map.RowData(b0) + c;
     const uint32_t adj = (c + 1 == map.fields_per_row()) ? 0 : 1;
     return ParseBlockTyped(
-        chunk, c, type, bn, options, out,
+        chunk, type, bn, options, out,
         [=](size_t i, size_t* r, uint32_t* s, uint32_t* e) {
           *r = b0 + i;
           const uint32_t* p = slot + i * stride;
@@ -267,7 +312,7 @@ Status ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
           *e = p[1] - adj;
         });
   }
-  return ParseBlockTyped(chunk, c, type, bn, options, out,
+  return ParseBlockTyped(chunk, type, bn, options, out,
                          [&map, sel, c, b0](size_t i, size_t* r, uint32_t* s,
                                             uint32_t* e) {
                            *r = sel != nullptr ? sel[b0 + i] : b0 + i;
@@ -316,43 +361,26 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
     return Status::InvalidArgument("positional map / chunk row mismatch");
   }
 
-  const std::string_view data(chunk.data);
   const size_t num_rows = chunk.num_rows();
 
-  // Push-down selection first (§2): one typed pass over the predicate
-  // column produces the row selection every projected column then honors.
+  // Push-down selection first (§2): the predicate column goes through the
+  // same typed block loop, then one pass over its values produces the row
+  // selection every projected column honors. Its errors carry no row/col
+  // context, as in the historical row-at-a-time parser.
   std::vector<uint32_t> selected;
   const bool filtered = options.pushdown.has_value();
   if (filtered) {
     const auto& pd = *options.pushdown;
     const FieldType pt = schema.column(pd.column).type;
-    const char* base = data.data();
+    ColumnVector pred(pt);
+    const size_t bad = ParseColumnBlock(chunk, map, pd.column, pt, nullptr, 0,
+                                        num_rows, options, &pred);
+    if (bad != kAllParsed) {
+      return FieldStatus(FieldText(chunk, map, bad, pd.column), pt);
+    }
     selected.reserve(num_rows);
     for (size_t r = 0; r < num_rows; ++r) {
-      const uint32_t s = map.FieldStart(r, pd.column);
-      const uint32_t e = map.FieldEnd(r, pd.column);
-      int64_t value = 0;
-      bool parsed = false;
-      switch (pt) {
-        case FieldType::kUint32: {
-          uint32_t v = 0;
-          parsed = TryParseUint32(base + s, base + e, &v);
-          value = static_cast<int64_t>(v);
-          break;
-        }
-        case FieldType::kInt64:
-          parsed = TryParseInt64(base + s, base + e, &value);
-          break;
-        case FieldType::kDouble: {
-          double v = 0;
-          parsed = TryParseDouble(base + s, base + e, &v);
-          value = static_cast<int64_t>(v);
-          break;
-        }
-        case FieldType::kString:
-          break;  // rejected by validation above
-      }
-      if (!parsed) return ParseNumeric(data.substr(s, e - s), pt).status();
+      const int64_t value = pred.NumericAt(r);
       if (value >= pd.min_value && value <= pd.max_value) {
         selected.push_back(static_cast<uint32_t>(r));
       }
@@ -372,10 +400,17 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
   for (size_t b0 = 0; b0 < out_rows; b0 += kParseRowBlock) {
     const size_t bn = std::min(kParseRowBlock, out_rows - b0);
     for (size_t j = 0; j < cols.size(); ++j) {
-      SCANRAW_RETURN_IF_ERROR(ParseColumnBlock(chunk, map, cols[j],
-                                               schema.column(cols[j]).type,
-                                               sel, b0, bn, options,
-                                               &vectors[j]));
+      const FieldType type = schema.column(cols[j]).type;
+      const size_t bad = ParseColumnBlock(chunk, map, cols[j], type, sel, b0,
+                                          bn, options, &vectors[j]);
+      if (bad == kAllParsed) continue;
+      const Status s = FieldStatus(FieldText(chunk, map, bad, cols[j]), type);
+      return Status(s.code(),
+                    StringPrintf("chunk %llu row %zu col %zu: ",
+                                 static_cast<unsigned long long>(
+                                     chunk.chunk_index),
+                                 bad, cols[j]) +
+                        std::string(s.message()));
     }
   }
 

@@ -54,11 +54,13 @@ Result<uint32_t> ParseUint32(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 
-// Allocation-free variants used by the columnar hot loops: parse [first,
-// last) and return false on any malformed input without building an error
-// string (the caller classifies the failure only after it happens, via the
-// Result-returning functions above). Built on std::from_chars — no stack
-// copy, no field-length limit, locale-independent.
+// Allocation-free variants: parse [first, last) and return false on any
+// malformed input without building an error string (the caller classifies
+// the failure only after it happens, via the Result-returning functions
+// above). Built on std::from_chars — no stack copy, no field-length limit,
+// locale-independent. They define the accepted grammar; ParseChunk's
+// integer loops try a 16-byte SWAR digit kernel first and fall back to
+// these for every field the kernel does not accept.
 bool TryParseUint32(const char* first, const char* last, uint32_t* out);
 bool TryParseInt64(const char* first, const char* last, int64_t* out);
 bool TryParseDouble(const char* first, const char* last, double* out);

@@ -5,9 +5,12 @@
 // BinaryChunks — over randomized schemas, delimiters, and edge-case
 // layouts: CRLF line endings, empty fields, unterminated last lines,
 // projections, selective tokenizing, push-down filters (including filters
-// that drop every row), and RFC-4180 quoted fields with range boundaries
-// forced into adversarial spots.
+// that drop every row), RFC-4180 quoted fields with range boundaries forced
+// into adversarial spots, and integer fields aimed at the parser's 16-byte
+// SWAR digit kernel (lengths around 16, leading zeros, range limits, signs,
+// non-digit bytes at every position, fields near the chunk's first byte).
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +19,7 @@
 
 #include "bench/reference_scalar.h"
 #include "common/random.h"
+#include "exec/query.h"
 #include "format/parallel_chunker.h"
 #include "format/parser.h"
 #include "format/schema.h"
@@ -67,16 +71,58 @@ FieldType RandomType(Random* rng) {
   }
 }
 
+// `digits` with zeros prepended up to `width` characters.
+std::string ZeroPad(std::string digits, size_t width) {
+  if (digits.size() < width) digits.insert(0, width - digits.size(), '0');
+  return digits;
+}
+
+std::string RandomSign(Random* rng) {
+  switch (rng->Uniform(3)) {
+    case 0: return "-";
+    case 1: return "+";
+    default: return "";
+  }
+}
+
 std::string RandomFieldText(Random* rng, FieldType type, char delimiter) {
   switch (type) {
     case FieldType::kUint32:
-      return std::to_string(rng->NextUint32());
-    case FieldType::kInt64: {
-      const int64_t v = static_cast<int64_t>(rng->NextUint64());
-      std::string s = std::to_string(v);
-      if (v >= 0 && rng->OneIn(4)) s.insert(0, "+");
-      return s;
-    }
+      switch (rng->Uniform(4)) {
+        case 0:  // leading zeros, 1-20 digits
+          return ZeroPad(std::to_string(rng->Uniform(100000)),
+                         1 + rng->Uniform(20));
+        case 1:
+          return "4294967295";
+        default:
+          return std::to_string(rng->NextUint32());
+      }
+    case FieldType::kInt64:
+      switch (rng->Uniform(5)) {
+        case 0: {  // 15-, 16- or 17-byte field, leading zeros allowed
+          std::string s = RandomSign(rng);
+          const size_t bytes = 15 + rng->Uniform(3);
+          while (s.size() < bytes) {
+            s.push_back(static_cast<char>('0' + rng->Uniform(10)));
+          }
+          return s;
+        }
+        case 1:  // leading zeros, 1-20 digits
+          return RandomSign(rng) + ZeroPad(std::to_string(rng->Uniform(1000)),
+                                           1 + rng->Uniform(20));
+        case 2: {
+          static const char* const kLimits[] = {
+              "9223372036854775807", "-9223372036854775807",
+              "+9223372036854775807", "-9223372036854775808"};
+          return kLimits[rng->Uniform(4)];
+        }
+        default: {
+          const int64_t v = static_cast<int64_t>(rng->NextUint64());
+          std::string s = std::to_string(v);
+          if (v >= 0 && rng->OneIn(4)) s.insert(0, "+");
+          return s;
+        }
+      }
     case FieldType::kDouble:
       switch (rng->Uniform(4)) {
         case 0:
@@ -223,8 +269,9 @@ TEST(HotpathEquivalenceTest, RandomizedPushdownFilters) {
   for (int iter = 0; iter < 80; ++iter) {
     RandomCsv csv = MakeRandomCsv(&rng, iter);
     // Find an integer column for the predicate. Doubles are excluded: the
-    // generator produces values far outside int64 range, and the
-    // double→int64 predicate cast would overflow (UB) in both paths.
+    // generator produces values far outside int64 range, and the frozen
+    // reference's double→int64 predicate cast is undefined for them
+    // (production saturates; see PushdownOnNonFiniteDoublesMatchesEngine).
     size_t pc = csv.schema.num_columns();
     for (size_t c = 0; c < csv.schema.num_columns(); ++c) {
       const FieldType t = csv.schema.column(c).type;
@@ -275,6 +322,71 @@ TEST(HotpathEquivalenceTest, RandomizedPushdownFilters) {
   EXPECT_GT(filtered_all, 5);
 }
 
+// Printable form of a field for failure messages (it may hold NUL/0xFF).
+std::string Escaped(std::string_view text) {
+  std::string out;
+  for (unsigned char ch : text) {
+    if (ch >= 0x20 && ch < 0x7F) {
+      out.push_back(static_cast<char>(ch));
+    } else {
+      out += "\\x" + std::string(1, "0123456789ABCDEF"[ch >> 4]) +
+             "0123456789ABCDEF"[ch & 15];
+    }
+  }
+  return out;
+}
+
+// Tokenizes `chunk` and requires production ParseChunk to agree with the
+// frozen reference: the same chunk, or the same error string.
+void ExpectParseMatchesReference(const TextChunk& chunk, const Schema& schema,
+                                 const ParseOptions& popts,
+                                 const std::string& context) {
+  auto map = TokenizeChunk(chunk, TokOpts(schema));
+  ASSERT_TRUE(map.ok()) << context << ": " << map.status().ToString();
+  auto want = reference::RefParseChunk(chunk, *map, schema, popts);
+  auto got = ParseChunk(chunk, *map, schema, popts);
+  ASSERT_EQ(got.ok(), want.ok())
+      << context << ": want " << want.status().ToString() << ", got "
+      << got.status().ToString();
+  if (want.ok()) {
+    ExpectChunksEqual(*got, *want, context);
+  } else {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << context;
+  }
+}
+
+// Integer fields aimed at the SWAR kernel's edges and its fallback.
+std::vector<std::string> IntegerEdgeFields() {
+  std::vector<std::string> fields = {
+      "4294967295", "4294967296", "9223372036854775807",
+      "-9223372036854775807", "+9223372036854775807", "-9223372036854775808",
+      "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+      "+", "-", "+-1", "-+1", "--1", "++1", "", "-0", "+0", "0"};
+  const std::string digits = "98765432109876543210";
+  for (size_t n = 1; n <= 20; ++n) {
+    fields.push_back(ZeroPad("7", n));
+    fields.push_back(std::string(n, '0'));
+    fields.push_back("-" + ZeroPad("7", n));
+  }
+  for (size_t n = 15; n <= 17; ++n) {
+    fields.push_back(digits.substr(0, n));
+    fields.push_back("-" + digits.substr(0, n - 1));
+    fields.push_back("+" + digits.substr(0, n - 1));
+  }
+  static const char kBad[] = {'/', ':', ' ', '\0', '\xFF'};
+  for (size_t n = 1; n <= 17; ++n) {
+    for (size_t p = 0; p < n; ++p) {
+      for (char bad : kBad) {
+        std::string f = digits.substr(0, n);
+        f[p] = bad;
+        fields.push_back(f);
+        fields.push_back("-" + f);
+      }
+    }
+  }
+  return fields;
+}
+
 TEST(HotpathEquivalenceTest, HandcraftedEdgeCases) {
   struct Case {
     const char* name;
@@ -312,6 +424,84 @@ TEST(HotpathEquivalenceTest, HandcraftedEdgeCases) {
     ASSERT_TRUE(ref_parsed.ok()) << tc.name;
     ASSERT_TRUE(parsed.ok()) << tc.name;
     ExpectChunksEqual(*parsed, *ref_parsed, tc.name);
+  }
+
+  // Integer fields: at the chunk's first byte (inside the kernel's 16-byte
+  // readable window, so the fallback runs), mid-chunk behind a CRLF-ended
+  // padding row (the kernel runs), and as the final field of an
+  // unterminated last line. Each is also pushed down and filtered against.
+  const std::string pad = "0000000000000001,2\r\n";
+  const PushdownFilter filters[] = {{0, INT64_MIN, INT64_MAX},
+                                    {0, 0, 1000},
+                                    {0, 1, 0},
+                                    {1, INT64_MIN, INT64_MAX},
+                                    {1, -1000, 0}};
+  for (FieldType type : {FieldType::kUint32, FieldType::kInt64}) {
+    const Schema schema({{"a", type}, {"b", type}});
+    for (const std::string& field : IntegerEdgeFields()) {
+      const std::string layouts[][2] = {
+          {"start", field + ",5\n6,7\n"},
+          {"middle", pad + "8," + field + "\r\n9,10\n"},
+          {"unterminated", pad + "3," + field},
+      };
+      for (const auto& [where, data] : layouts) {
+        const std::string context = std::string(FieldTypeName(type)) + " '" +
+                                    Escaped(field) + "' " + where;
+        const TextChunk chunk = MakeTextChunk(data, 3);
+        ExpectParseMatchesReference(chunk, schema, {}, context);
+        for (const PushdownFilter& filter : filters) {
+          ParseOptions popts;
+          popts.pushdown = filter;
+          ExpectParseMatchesReference(
+              chunk, schema, popts,
+              context + " pushdown col " + std::to_string(filter.column));
+        }
+      }
+    }
+  }
+}
+
+TEST(HotpathEquivalenceTest, PushdownOnNonFiniteDoublesMatchesEngine) {
+  // The double→int64 predicate conversion saturates (NaN → 0, out of range
+  // → INT64_MIN/MAX), so push-down keeps exactly the rows the engine's
+  // range predicate keeps on the unfiltered chunk. Row r's id is 2^r, so
+  // the summed ids name the surviving row set.
+  const char* const values[] = {"inf", "-inf",   "nan",  "1e300", "-1e300",
+                                "0",   "-2.5",   "7.9",  "-nan",  "9.3e18",
+                                "-9.3e18", "1e-300"};
+  std::string data;
+  for (size_t r = 0; r < std::size(values); ++r) {
+    data += std::to_string(1u << r) + "," + values[r] + "\n";
+  }
+  const TextChunk chunk = MakeTextChunk(data);
+  const Schema schema({{"id", FieldType::kUint32}, {"d", FieldType::kDouble}});
+  auto map = TokenizeChunk(chunk, TokOpts(schema));
+  ASSERT_TRUE(map.ok());
+  auto full = ParseChunk(chunk, *map, schema, {});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {INT64_MIN, INT64_MAX}, {INT64_MAX, INT64_MAX}, {INT64_MIN, INT64_MIN},
+      {0, 0},                 {-5, 5},                {1, INT64_MAX},
+      {INT64_MIN, -1}};
+  for (const auto& [lo, hi] : ranges) {
+    const std::string context =
+        "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    QuerySpec spec;
+    spec.sum_columns = {0};
+    spec.predicate.range = RangePredicate{1, lo, hi};
+    QueryExecutor engine(spec);
+    ASSERT_TRUE(engine.Consume(*full).ok()) << context;
+    const QueryResult want = engine.Finish();
+
+    ParseOptions popts;
+    popts.pushdown = PushdownFilter{1, lo, hi};
+    auto filtered = ParseChunk(chunk, *map, schema, popts);
+    ASSERT_TRUE(filtered.ok()) << context;
+    uint64_t ids = 0;
+    for (uint32_t id : filtered->column(0).AsUint32()) ids += id;
+    EXPECT_EQ(filtered->num_rows(), want.rows_matched) << context;
+    EXPECT_EQ(ids, want.total_sum) << context;
   }
 }
 
