@@ -53,6 +53,12 @@ inline std::string MustTempPath(const std::string& name) {
   return *path;
 }
 
+// Median of a sample of timings (the upper median for an even count).
+inline double MedianSeconds(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 // Fixed-width table printer.
 class TablePrinter {
  public:

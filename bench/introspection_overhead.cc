@@ -83,11 +83,6 @@ Setup MakeManager(const std::string& csv, const CsvSpec& spec,
   return setup;
 }
 
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 }  // namespace
 }  // namespace scanraw
 
@@ -171,8 +166,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double bare_med = scanraw::MedianSeconds(bare_seconds);
-  const double live_med = scanraw::MedianSeconds(live_seconds);
+  const double bare_med = scanraw::bench::MedianSeconds(bare_seconds);
+  const double live_med = scanraw::bench::MedianSeconds(live_seconds);
   const double delta = live_med - bare_med;
   const double overhead_pct = 100.0 * delta / bare_med;
 

@@ -82,11 +82,6 @@ Setup MakeManager(const std::string& csv, const CsvSpec& spec,
   return setup;
 }
 
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 }  // namespace
 }  // namespace scanraw
 
@@ -157,8 +152,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double plain_med = scanraw::MedianSeconds(plain_seconds);
-  const double logged_med = scanraw::MedianSeconds(logged_seconds);
+  const double plain_med = scanraw::bench::MedianSeconds(plain_seconds);
+  const double logged_med = scanraw::bench::MedianSeconds(logged_seconds);
   const double delta = logged_med - plain_med;
   const double overhead_pct = 100.0 * delta / plain_med;
 

@@ -49,11 +49,6 @@ ScanRawOptions PosmapOptions() {
   return options;
 }
 
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 }  // namespace
 }  // namespace scanraw
 
@@ -169,8 +164,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double cold_med = scanraw::MedianSeconds(cold_seconds);
-  const double warm_med = scanraw::MedianSeconds(warm_seconds);
+  const double cold_med = scanraw::bench::MedianSeconds(cold_seconds);
+  const double warm_med = scanraw::bench::MedianSeconds(warm_seconds);
   const auto min_of = [](const std::vector<double>& v) {
     return *std::min_element(v.begin(), v.end());
   };

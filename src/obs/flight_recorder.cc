@@ -3,13 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace scanraw {
 namespace obs {
@@ -36,15 +37,14 @@ void WriteAll(int fd, const char* data, size_t length) {
 
 void WriteLine(int fd, const char* line) { WriteAll(fd, line, strlen(line)); }
 
-// Dump label for a packed kind: the event name, or for a stage event the
+// Dump label for an event: the event name, or for a stage event the
 // lower-cased stage name.
-void KindLabel(uint64_t kind, char* out, size_t size) {
-  const auto event = static_cast<FlightEvent>(kind & 0xff);
-  if (event != FlightEvent::kStage) {
-    std::snprintf(out, size, "%s", FlightEventName(event));
+void KindLabel(const FlightRecorder::Event& e, char* out, size_t size) {
+  if (e.event != FlightEvent::kStage) {
+    std::snprintf(out, size, "%s", FlightEventName(e.event));
     return;
   }
-  const std::string_view name = StageName(static_cast<Stage>(kind >> 8));
+  const std::string_view name = StageName(e.stage);
   size_t n = 0;
   for (; n < name.size() && n + 1 < size; ++n) {
     out[n] = static_cast<char>(
@@ -66,6 +66,8 @@ const char* FlightEventName(FlightEvent event) {
     case FlightEvent::kCacheEvict: return "cache-evict";
     case FlightEvent::kKillPoint: return "kill-point";
     case FlightEvent::kError: return "error";
+    case FlightEvent::kReadBlocked: return "read-blocked";
+    case FlightEvent::kSafeguardFlush: return "safeguard-flush";
   }
   return "unknown";
 }
@@ -115,7 +117,8 @@ void FlightRecorder::ReleaseRing(Ring* ring) {
   ring->in_use.store(false, std::memory_order_release);
 }
 
-void FlightRecorder::RecordPacked(uint64_t kind, uint64_t a, uint64_t b) {
+void FlightRecorder::RecordPacked(uint64_t kind, uint64_t a, uint64_t b,
+                                  int64_t dur_nanos) {
   FlightRecorderTlsHandle& handle = tls_handle;
   if (handle.ring == nullptr || handle.owner != this) {
     handle.ring = ClaimRing();
@@ -132,11 +135,27 @@ void FlightRecorder::RecordPacked(uint64_t kind, uint64_t a, uint64_t b) {
   Slot& slot = ring.slots[index];
   // Relaxed stores: a dump racing these may see one torn event, which a
   // crash artifact tolerates; atomics keep the race defined (TSan-clean).
-  slot.ts_nanos.store(NowNanos(), std::memory_order_relaxed);
+  const uint64_t dur = dur_nanos > 0 ? static_cast<uint64_t>(dur_nanos) : 0;
+  slot.ts_nanos.store(NowNanos() - dur, std::memory_order_relaxed);
   slot.packed.store((static_cast<uint64_t>(CurrentThreadId()) << 16) | kind,
                     std::memory_order_relaxed);
+  slot.dur_nanos.store(dur, std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
+}
+
+FlightRecorder::Event FlightRecorder::Decode(const Slot& slot) {
+  const uint64_t packed = slot.packed.load(std::memory_order_relaxed);
+  Event e;
+  e.event = static_cast<FlightEvent>(packed & 0xff);
+  e.stage = static_cast<Stage>((packed >> 8) & 0xff);
+  e.tid = static_cast<uint32_t>(packed >> 16);  // drops the source bits
+  e.source = static_cast<ChunkSource>(packed >> kSourceShift);
+  e.ts_nanos = slot.ts_nanos.load(std::memory_order_relaxed);
+  e.dur_nanos = slot.dur_nanos.load(std::memory_order_relaxed);
+  e.a = slot.a.load(std::memory_order_relaxed);
+  e.b = slot.b.load(std::memory_order_relaxed);
+  return e;
 }
 
 void FlightRecorder::DumpTo(int fd) const {
@@ -161,30 +180,72 @@ void FlightRecorder::DumpTo(int fd) const {
                   static_cast<unsigned long long>(count));
     WriteLine(fd, line);
     for (uint64_t i = total - count; i < total; ++i) {
-      const Slot& slot = ring.slots[i % kRingEvents];
-      const uint64_t packed = slot.packed.load(std::memory_order_relaxed);
-      if (static_cast<FlightEvent>(packed & 0xff) == FlightEvent::kNone) {
-        continue;
-      }
+      const Event e = Decode(ring.slots[i % kRingEvents]);
+      if (e.event == FlightEvent::kNone) continue;
       char label[16];
-      KindLabel(packed & 0xffff, label, sizeof(label));
-      const uint64_t ts = slot.ts_nanos.load(std::memory_order_relaxed);
-      const uint64_t age_us = ts <= now ? (now - ts) / 1000 : 0;
-      std::snprintf(
-          line, sizeof(line),
-          "  tid=%llu -%8llu.%03llums %-12s a=%llu b=%llu\n",
-          static_cast<unsigned long long>(packed >> 16),
-          static_cast<unsigned long long>(age_us / 1000),
-          static_cast<unsigned long long>(age_us % 1000),
-          label,
-          static_cast<unsigned long long>(
-              slot.a.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              slot.b.load(std::memory_order_relaxed)));
+      KindLabel(e, label, sizeof(label));
+      const uint64_t age_us = e.ts_nanos <= now ? (now - e.ts_nanos) / 1000 : 0;
+      std::snprintf(line, sizeof(line),
+                    "  tid=%llu -%8llu.%03llums %-12s a=%llu b=%llu\n",
+                    static_cast<unsigned long long>(e.tid),
+                    static_cast<unsigned long long>(age_us / 1000),
+                    static_cast<unsigned long long>(age_us % 1000), label,
+                    static_cast<unsigned long long>(e.a),
+                    static_cast<unsigned long long>(e.b));
       WriteLine(fd, line);
     }
   }
   WriteLine(fd, "=== end flight recorder ===\n");
+}
+
+std::vector<FlightRecorder::Event> FlightRecorder::Snapshot() const {
+  std::vector<Event> out;
+  for (const Ring& ring : rings_) {
+    if (ring.ever_claimed.load(std::memory_order_relaxed) == 0) continue;
+    const uint64_t total = ring.next.load(std::memory_order_acquire);
+    const uint64_t count = total < kRingEvents ? total : kRingEvents;
+    for (uint64_t i = total - count; i < total; ++i) {
+      const Event e = Decode(ring.slots[i % kRingEvents]);
+      if (e.event != FlightEvent::kNone) out.push_back(e);
+    }
+  }
+  return out;
+}
+
+std::string FlightRecorder::ToChromeTraceJson(std::string_view label,
+                                              size_t* exported) const {
+  const std::vector<Event> events = Snapshot();
+  uint64_t epoch = UINT64_MAX;
+  for (const Event& e : events) epoch = std::min(epoch, e.ts_nanos);
+  std::string out = "[";
+  if (!label.empty()) {
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":"
+           "{\"name\":\"" +
+           JsonEscape(label) + "\"}}";
+  }
+  for (const Event& e : events) {
+    if (out.size() > 1) out += ",\n";
+    const bool stage = e.event == FlightEvent::kStage;
+    out += "{\"name\":\"";
+    out += stage ? StageName(e.stage) : FlightEventName(e.event);
+    out += "\",\"cat\":\"scanraw\",\"ph\":\"";
+    out += stage ? "X" : "i";
+    out += "\",\"ts\":" + std::to_string((e.ts_nanos - epoch) / 1000);
+    out += stage ? ",\"dur\":" + std::to_string(e.dur_nanos / 1000)
+                 : std::string(",\"s\":\"p\"");
+    out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid) + ",\"args\":{";
+    if (stage) {
+      out += "\"chunk\":" + std::to_string(e.a) + ",\"source\":\"";
+      out += ChunkSourceName(e.source);
+      out += "\"}}";
+    } else {
+      out += "\"a\":" + std::to_string(e.a) + ",\"b\":" + std::to_string(e.b) +
+             "}}";
+    }
+  }
+  out += "]\n";
+  if (exported != nullptr) *exported = events.size();
+  return out;
 }
 
 bool FlightRecorder::DumpToFile(const char* path) const {
@@ -242,6 +303,7 @@ void FlightRecorder::ResetForTest() {
     for (Slot& slot : ring.slots) {
       slot.ts_nanos.store(0, std::memory_order_relaxed);
       slot.packed.store(0, std::memory_order_relaxed);
+      slot.dur_nanos.store(0, std::memory_order_relaxed);
       slot.a.store(0, std::memory_order_relaxed);
       slot.b.store(0, std::memory_order_relaxed);
     }

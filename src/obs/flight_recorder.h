@@ -1,17 +1,19 @@
-// Flight recorder: an always-on, fixed-size, per-thread ring buffer of
-// recent pipeline events, dumped when the process is about to die (crash
-// handler, FaultKillPoint) or on demand (`--flight-dump`). The point is
-// post-mortem visibility: after an injected or real crash, the dump shows
-// the last thing every pipeline thread was doing.
+// Flight recorder: the session's one event store. An always-on,
+// fixed-size, per-thread ring buffer of recent pipeline events — stage
+// events with their durations, and scheduler instants — dumped when the
+// process is about to die (crash handler, FaultKillPoint) or on demand
+// (`--flight-dump`), and exported as a Chrome trace (`--trace-out`). After
+// an injected or real crash, the dump shows the last thing every pipeline
+// thread was doing; a trace holds each thread's last kRingEvents events.
 //
 // Record-path contract (enforced by scanraw-lint's flight-record-path rule
 // and exercised under TSan): Record* functions take no locks and perform
-// no allocation or IO — each event is four relaxed atomic stores into a
+// no allocation or IO — each event is five relaxed atomic stores into a
 // pre-sized ring claimed per thread with a single CAS. Concurrent dumps
-// read the same atomics; an event being written while dumped may appear
-// torn (fields from two events), which is acceptable for a crash artifact
-// and is why the slots are atomics (keeps TSan clean) rather than plain
-// memory.
+// and snapshots read the same atomics; an event being written meanwhile
+// may appear torn (fields from two events), which is acceptable for a
+// crash artifact or a trace and is why the slots are atomics (keeps TSan
+// clean) rather than plain memory.
 //
 // Deliberately independent of io/: the dump must work when the io layer is
 // the thing that failed (and io/fault_injection.cc calls into the dump
@@ -22,6 +24,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/stage.h"
 
@@ -38,6 +43,8 @@ enum class FlightEvent : uint8_t {
   kCacheEvict,
   kKillPoint,
   kError,
+  kReadBlocked,     // READ blocked on a full text buffer (a = chunk)
+  kSafeguardFlush,  // end-of-scan safeguard flush (§4)
 };
 
 const char* FlightEventName(FlightEvent event);
@@ -56,13 +63,42 @@ class FlightRecorder {
   void Record(FlightEvent event, uint64_t a = 0, uint64_t b = 0) {
     RecordPacked(static_cast<uint64_t>(event), a, b);
   }
-  // A stage event (a = chunk index, b = bytes or rows handled); the dump
-  // names it after the stage, lower-cased ("read", "tokenize", ...).
-  void Record(Stage stage, uint64_t a, uint64_t b) {
-    RecordPacked((static_cast<uint64_t>(stage) << 8) |
+  // A stage event (a = chunk index, b = bytes or rows handled) that ran
+  // for `dur_nanos` up to now; the dump names it after the stage,
+  // lower-cased ("read", "tokenize", ...).
+  void Record(Stage stage, uint64_t a, uint64_t b,
+              ChunkSource source = ChunkSource::kRaw, int64_t dur_nanos = 0) {
+    RecordPacked((static_cast<uint64_t>(source) << kSourceShift) |
+                     (static_cast<uint64_t>(stage) << 8) |
                      static_cast<uint64_t>(FlightEvent::kStage),
-                 a, b);
+                 a, b, dur_nanos);
   }
+
+  // One decoded event. `ts_nanos` is on the recorder's steady clock; a
+  // stage event's is its start.
+  struct Event {
+    FlightEvent event = FlightEvent::kNone;
+    Stage stage = Stage::kRead;  // kStage events
+    ChunkSource source = ChunkSource::kRaw;
+    uint32_t tid = 0;
+    uint64_t ts_nanos = 0;
+    uint64_t dur_nanos = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+  };
+
+  // Every surviving event of every ring ever claimed, ring by ring, oldest
+  // first within a ring. Safe to call while other threads record.
+  std::vector<Event> Snapshot() const;
+
+  // Chrome trace_event JSON of Snapshot(): stage events become complete
+  // ("X") events named by StageName with chunk/source args, every other
+  // event an instant ("i") named by FlightEventName. A non-empty `label`
+  // becomes a process_name metadata event. Timestamps are microseconds
+  // relative to the earliest event; `exported`, when set, receives the
+  // number of trace events written.
+  std::string ToChromeTraceJson(std::string_view label,
+                                size_t* exported = nullptr) const;
 
   // Writes a human-readable dump of every non-empty ring to `fd` using raw
   // write(2). Safe to call while other threads record.
@@ -92,9 +128,14 @@ class FlightRecorder {
  private:
   friend struct FlightRecorderTlsHandle;
 
+  // packed = (source << kSourceShift) | (thread_id << 16) | kind, where
+  // kind = (stage << 8) | event type.
+  static constexpr int kSourceShift = 48;
+
   struct Slot {
     std::atomic<uint64_t> ts_nanos{0};
-    std::atomic<uint64_t> packed{0};  // (thread_id << 16) | kind
+    std::atomic<uint64_t> packed{0};
+    std::atomic<uint64_t> dur_nanos{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
   };
@@ -108,8 +149,12 @@ class FlightRecorder {
 
   FlightRecorder() = default;
 
-  // `kind` is (stage << 8) | event type.
-  void RecordPacked(uint64_t kind, uint64_t a, uint64_t b);
+  // `kind` is the packed word without the thread id.
+  void RecordPacked(uint64_t kind, uint64_t a, uint64_t b,
+                    int64_t dur_nanos = 0);
+
+  // Reads one slot (allocation-free, so the crash dump can use it).
+  static Event Decode(const Slot& slot);
 
   Ring* ClaimRing();
   void ReleaseRing(Ring* ring);
@@ -125,8 +170,10 @@ class FlightRecorder {
 inline void FlightRecord(FlightEvent event, uint64_t a = 0, uint64_t b = 0) {
   FlightRecorder::Global()->Record(event, a, b);
 }
-inline void FlightRecord(Stage stage, uint64_t a, uint64_t b) {
-  FlightRecorder::Global()->Record(stage, a, b);
+inline void FlightRecord(Stage stage, uint64_t a, uint64_t b,
+                         ChunkSource source = ChunkSource::kRaw,
+                         int64_t dur_nanos = 0) {
+  FlightRecorder::Global()->Record(stage, a, b, source, dur_nanos);
 }
 
 }  // namespace obs

@@ -7,6 +7,27 @@
 namespace scanraw {
 namespace obs {
 
+std::string_view AdviceName(Advice advice) {
+  static constexpr std::string_view kNames[kNumAdvice] = {
+      "need-more-cpu", "io-bound", "engine-bound", "balanced"};
+  return kNames[static_cast<size_t>(advice)];
+}
+
+Advice ComputeAdvice(const ResourceSample& s) {
+  if (s.num_workers > 0 && s.busy_workers == s.num_workers &&
+      s.text_buffer_size >= s.text_buffer_capacity) {
+    return Advice::kNeedMoreCpu;
+  }
+  if (s.output_buffer_size >= s.output_buffer_capacity) {
+    return Advice::kEngineBound;
+  }
+  if (s.busy_workers == 0 && s.text_buffer_size == 0 &&
+      s.position_buffer_size == 0) {
+    return Advice::kIoBound;
+  }
+  return Advice::kBalanced;
+}
+
 void ResourceLog::Append(ResourceSample sample) {
   if (capacity_ == 0) return;
   MutexLock lock(mu_);
@@ -40,12 +61,6 @@ uint64_t ResourceLog::total_appended() const {
   return next_;
 }
 
-void ResourceLog::Clear() {
-  MutexLock lock(mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
 std::string ResourceLog::ToJson() const {
   const std::vector<ResourceSample> samples = Snapshot();
   int64_t epoch = 0;
@@ -58,7 +73,9 @@ std::string ResourceLog::ToJson() const {
     if (!first) out += ",\n";
     first = false;
     out += "{\"ts_us\":" + std::to_string((s.ts_nanos - epoch) / 1000);
-    out += ",\"advice\":\"" + JsonEscape(s.advice) + "\"";
+    out += ",\"advice\":\"";
+    out += AdviceName(s.advice);
+    out += "\"";
     out += ",\"text_buffer\":[" + std::to_string(s.text_buffer_size) + "," +
            std::to_string(s.text_buffer_capacity) + "]";
     out += ",\"position_buffer\":[" + std::to_string(s.position_buffer_size) +

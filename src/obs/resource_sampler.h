@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,11 +20,27 @@
 namespace scanraw {
 namespace obs {
 
-// One probe of the live pipeline. `advice` is the §3.3 state name
-// ("balanced", "need-more-cpu", "io-bound", "engine-bound").
+// The §3.3 resource advice states.
+enum class Advice : uint8_t {
+  // Every worker busy and the text buffer full: "additional CPUs are
+  // needed in order to cope with the I/O throughput".
+  kNeedMoreCpu,
+  // Workers starved and buffers empty: the disk is the bottleneck.
+  kIoBound,
+  // The engine is not draining the output buffer.
+  kEngineBound,
+  kBalanced,
+};
+
+inline constexpr size_t kNumAdvice = 4;
+
+// Stable lowercase-hyphen name for an advice state ("need-more-cpu", ...).
+std::string_view AdviceName(Advice advice);
+
+// One probe of the live pipeline.
 struct ResourceSample {
   int64_t ts_nanos = 0;
-  std::string advice = "balanced";
+  Advice advice = Advice::kBalanced;
   size_t text_buffer_size = 0;
   size_t text_buffer_capacity = 0;
   size_t position_buffer_size = 0;
@@ -38,6 +55,9 @@ struct ResourceSample {
   int64_t disk_writer_busy_nanos = 0;
 };
 
+// Classifies a sample's buffer and worker fields into an advice state.
+Advice ComputeAdvice(const ResourceSample& sample);
+
 // Bounded, thread-safe sample store shared by every sampler attached to the
 // same telemetry sink. Keeps the most recent `capacity` samples.
 class ResourceLog {
@@ -48,7 +68,6 @@ class ResourceLog {
   std::vector<ResourceSample> Snapshot() const EXCLUDES(mu_);
   size_t size() const EXCLUDES(mu_);
   uint64_t total_appended() const EXCLUDES(mu_);
-  void Clear() EXCLUDES(mu_);
 
   // JSON array of samples; timestamps become microseconds relative to the
   // first sample.

@@ -3,10 +3,15 @@
 #include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace scanraw {
 namespace obs {
+
+uint32_t CurrentThreadId() {
+  static std::atomic<uint32_t> next_id{1};
+  thread_local uint32_t id = next_id.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 
 std::string_view StageName(Stage stage) {
   static constexpr std::string_view kNames[kNumStages] = {
@@ -44,11 +49,8 @@ StageScope::~StageScope() {
   if (sinks_.spans != nullptr) {
     sinks_.spans->RecordSpan(stage_, CurrentThreadId(), start_nanos_, dur);
   }
-  if (sinks_.tracer != nullptr) {
-    sinks_.tracer->RecordSpan(stage_, source_, chunk_, start_nanos_, dur);
-  }
   if (sinks_.totals != nullptr) sinks_.totals->Add(stage_, dur);
-  if (sinks_.flight) FlightRecord(stage_, chunk_, detail_);
+  if (sinks_.flight) FlightRecord(stage_, chunk_, detail_, source_, dur);
   if (sinks_.heartbeats != nullptr) {
     // A cache-hit delivery is the READ loop making progress.
     sinks_.heartbeats->Beat(stage_ == Stage::kCacheHit ? Stage::kRead

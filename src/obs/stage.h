@@ -2,10 +2,10 @@
 // chunk-stage site emits ("special function calls to harness detailed
 // profiling data", §5). A StageScope reads the clock once at each end and
 // fans the interval out to whichever sinks are bound: the query's span
-// store (EXPLAIN, critical path), the chunk-lifecycle tracer (Chrome
-// trace), the operator's per-stage totals and their registry histograms,
-// the flight recorder, and the watchdog heartbeats. Every consumer of
-// per-stage numbers therefore reads the same events.
+// store (EXPLAIN, critical path), the operator's per-stage totals and their
+// registry histograms, the flight recorder (crash dumps, Chrome trace), and
+// the watchdog heartbeats. Every consumer of per-stage numbers therefore
+// reads the same events.
 #ifndef SCANRAW_OBS_STAGE_H_
 #define SCANRAW_OBS_STAGE_H_
 
@@ -20,7 +20,6 @@
 namespace scanraw {
 namespace obs {
 
-class ChunkTracer;
 class Histogram;
 class StageHeartbeats;
 
@@ -44,6 +43,10 @@ enum class Stage : uint8_t {
 inline constexpr size_t kNumStages = 9;
 inline constexpr size_t kFirstWaitStage =
     static_cast<size_t>(Stage::kDiskWait);
+
+// Small dense id for the current OS thread, stable for the thread's
+// lifetime (first call assigns the next free id).
+uint32_t CurrentThreadId();
 
 // Upper-case name ("READ", "CACHE_HIT", ...), shared by EXPLAIN, the query
 // log, Chrome traces, /metrics and the watchdog.
@@ -112,7 +115,6 @@ class StageTotals {
 // The sinks one stage event reaches; null (or false) members are skipped.
 struct StageSinks {
   SpanSink* spans = nullptr;
-  ChunkTracer* tracer = nullptr;
   StageTotals* totals = nullptr;
   StageHeartbeats* heartbeats = nullptr;
   bool flight = false;  // the process-global flight recorder

@@ -8,23 +8,20 @@ namespace obs {
 std::string Telemetry::ToJson() const {
   std::string out = "{\"metrics\":" + metrics_.ToJson();
   out += ",\"resource_samples\":" + resources_.ToJson();
-  out += ",\"trace_events_recorded\":" + std::to_string(tracer_.recorded());
-  out += ",\"trace_events_dropped\":" + std::to_string(tracer_.dropped());
   out += "}\n";
   return out;
 }
 
 std::string Telemetry::ToText() const {
   std::string out = metrics_.ToText();
-  std::map<std::string, size_t> advice_tally;
+  std::map<std::string_view, size_t> advice_tally;  // sorted by name
   for (const ResourceSample& s : resources_.Snapshot()) {
-    ++advice_tally[s.advice];
+    ++advice_tally[AdviceName(s.advice)];
   }
   for (const auto& [advice, n] : advice_tally) {
-    out += "resource.advice_samples." + advice + " " + std::to_string(n) +
-           "\n";
+    out += "resource.advice_samples." + std::string(advice) + " " +
+           std::to_string(n) + "\n";
   }
-  out += "trace.events_recorded " + std::to_string(tracer_.recorded()) + "\n";
   return out;
 }
 

@@ -81,16 +81,8 @@ struct ScanRawOptions {
   size_t position_buffer_capacity = 8;
   size_t output_buffer_capacity = 8;
 
-  // Recycle chunk text buffers and column arrays through a per-operator
-  // ChunkBufferPool, so steady-state pipeline iterations reuse capacity
-  // instead of allocating per chunk. Exposed for the ablation bench.
-  bool reuse_buffers = true;
-
   // Binary chunk cache capacity, in chunks (0 disables caching).
   size_t cache_capacity_chunks = 32;
-  // Evict already-loaded chunks first (the paper's biased LRU). Exposed so
-  // the ablation bench can turn it off.
-  bool bias_evict_loaded = true;
 
   // Lines per chunk for the first (layout-discovery) scan.
   uint64_t chunk_rows = 1 << 16;
@@ -101,15 +93,6 @@ struct ScanRawOptions {
   // End-of-scan safeguard flush (§4). On by default for speculative
   // loading; exposed for the ablation bench.
   bool safeguard_enabled = true;
-
-  // Collect per-column min/max statistics while loading (§3.3).
-  bool collect_stats = true;
-
-  // Durability: fsync the storage file after each segment append, before
-  // the catalog records the segment. Keeps the write-ordering invariant
-  // (the catalog never points at unsynced bytes) even if the process dies
-  // between the append and the next catalog save.
-  bool sync_segment_writes = true;
 
   // Graceful degradation: after a background WRITE fails (disk full, I/O
   // error), suppress new speculative triggers for this long. The failed
@@ -164,10 +147,10 @@ struct ScanRawOptions {
   // distinct elements ... or even samples").
   bool collect_sketches = false;
 
-  // Telemetry sink: registry-backed stage metrics, chunk-lifecycle tracing,
-  // and resource-advice sampling all record here. The ScanRawManager fills
-  // this in with its own sink when left null; set explicitly to share a
-  // sink across managers or to a standalone obs::Telemetry in tests.
+  // Telemetry sink: registry-backed stage metrics and resource-advice
+  // sampling record here. The ScanRawManager fills this in with its own
+  // sink when left null; set explicitly to share a sink across managers or
+  // to a standalone obs::Telemetry in tests.
   obs::Telemetry* telemetry = nullptr;
 
   // Period of the §3.3 resource-advice sampler thread attached to each

@@ -37,35 +37,6 @@ std::string_view LoadPolicyName(LoadPolicy policy) {
   return "unknown";
 }
 
-std::string_view AdviceName(ResourceSnapshot::Advice advice) {
-  switch (advice) {
-    case ResourceSnapshot::Advice::kNeedMoreCpu:
-      return "need-more-cpu";
-    case ResourceSnapshot::Advice::kIoBound:
-      return "io-bound";
-    case ResourceSnapshot::Advice::kEngineBound:
-      return "engine-bound";
-    case ResourceSnapshot::Advice::kBalanced:
-      return "balanced";
-  }
-  return "unknown";
-}
-
-ResourceSnapshot::Advice ResourceSnapshot::ComputeAdvice() const {
-  if (num_workers > 0 && busy_workers == num_workers &&
-      text_buffer_size >= text_buffer_capacity) {
-    return Advice::kNeedMoreCpu;
-  }
-  if (output_buffer_size >= output_buffer_capacity) {
-    return Advice::kEngineBound;
-  }
-  if (busy_workers == 0 && text_buffer_size == 0 &&
-      position_buffer_size == 0) {
-    return Advice::kIoBound;
-  }
-  return Advice::kBalanced;
-}
-
 namespace {
 
 // Registry names of the ProfileCounter table, in enum order.
@@ -149,6 +120,58 @@ bool ChunkHasColumns(const BinaryChunk& chunk,
 
 }  // namespace
 
+obs::QueryLogEvent MakeQueryLogEvent(std::string_view table,
+                                     std::string_view policy,
+                                     const QuerySpec& spec,
+                                     const obs::ExplainReport* report,
+                                     const QueryResult* result,
+                                     const Status& status) {
+  obs::QueryLogEvent event;
+  event.table = std::string(table);
+  event.policy = std::string(policy);
+  if (!status.ok()) event.status = status.ToString();
+  event.columns = spec.RequiredColumns();
+  if (spec.predicate.range.has_value()) {
+    event.predicate_columns.push_back(spec.predicate.range->column);
+  }
+  if (spec.predicate.pattern.has_value()) {
+    event.predicate_columns.push_back(spec.predicate.pattern->column);
+  }
+  if (result != nullptr) {
+    event.rows_scanned = result->rows_scanned;
+    event.rows_matched = result->rows_matched;
+  }
+  if (report == nullptr) return event;
+  event.wall_seconds = report->wall_seconds;
+  for (const obs::ExplainStage& stage : report->stages) {
+    event.stage_busy_seconds.emplace_back(stage.name, stage.busy_seconds);
+  }
+  event.chunks_from_cache = report->chunks_from_cache;
+  event.chunks_from_db = report->chunks_from_db;
+  event.chunks_from_raw = report->chunks_from_raw;
+  event.chunks_skipped = report->chunks_skipped;
+  event.chunks_written = report->chunks_written;
+  event.speculative_triggers = report->speculative_triggers;
+  event.bytes_written = report->bytes_written;
+  event.useful_bytes_written = report->useful_bytes_written;
+  event.cache_hit_rate =
+      report->HitRate(report->cache_hits, report->cache_misses);
+  event.posmap_hit_rate =
+      report->HitRate(report->posmap_hits, report->posmap_misses);
+  event.speculation_paid_off = report->speculation_paid_off;
+  event.advisor_used = report->advisor_used;
+  return event;
+}
+
+void AppendToQueryLog(obs::QueryLog* log, obs::QueryLogEvent event) {
+  const Status append = log->Append(std::move(event));
+  if (!append.ok()) {
+    // The log is advisory: a failed append never fails the query.
+    LOG_WARN("scanraw: query log append failed: %s",
+             append.ToString().c_str());
+  }
+}
+
 // ------------------------------------------------------------ QueryRun ----
 
 // The per-query pipeline: a READ thread, TOKENIZE/PARSE consumer threads
@@ -222,50 +245,38 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   // Point-in-time utilization of the live pipeline (§3.3).
-  ResourceSnapshot SnapshotResources() const {
-    ResourceSnapshot snapshot;
-    snapshot.text_buffer_size = text_q.size();
-    snapshot.text_buffer_capacity = text_q.capacity();
-    snapshot.position_buffer_size = pos_q.size();
-    snapshot.position_buffer_capacity = pos_q.capacity();
-    snapshot.output_buffer_size = out_q.size();
-    snapshot.output_buffer_capacity = out_q.capacity();
-    snapshot.busy_workers = pool.busy_workers();
-    snapshot.num_workers = pool.num_workers();
-    snapshot.cache_size = parent->cache_.size();
-    snapshot.cache_capacity = parent->cache_.capacity();
-    snapshot.UpdateAdvice();
-    return snapshot;
+  obs::ResourceSample SnapshotResources() const {
+    obs::ResourceSample sample;
+    sample.ts_nanos = RealClock::Instance()->NowNanos();
+    sample.text_buffer_size = text_q.size();
+    sample.text_buffer_capacity = text_q.capacity();
+    sample.position_buffer_size = pos_q.size();
+    sample.position_buffer_capacity = pos_q.capacity();
+    sample.output_buffer_size = out_q.size();
+    sample.output_buffer_capacity = out_q.capacity();
+    sample.busy_workers = pool.busy_workers();
+    sample.num_workers = pool.num_workers();
+    sample.cache_size = parent->cache_.size();
+    sample.cache_capacity = parent->cache_.capacity();
+    if (parent->arbiter_ != nullptr) {
+      sample.disk_reader_busy_nanos = parent->arbiter_->reader_busy_nanos();
+      sample.disk_writer_busy_nanos = parent->arbiter_->writer_busy_nanos();
+    }
+    sample.advice = obs::ComputeAdvice(sample);
+    return sample;
   }
 
   // Sampler probe: one §3.3 resource-advice time-series entry, with the
   // advice occurrence mirrored into the registry counters.
   obs::ResourceSample ProbeResources() const {
-    const ResourceSnapshot snap = SnapshotResources();
-    obs::ResourceSample sample;
-    sample.ts_nanos = RealClock::Instance()->NowNanos();
+    const obs::ResourceSample sample = SnapshotResources();
     // Piggyback the time-series rings on the probe cadence: while a query
     // runs, this thread is the sampler; between queries, scrapes are.
     if (parent->options_.telemetry != nullptr) {
       parent->options_.telemetry->timeseries().MaybeSample(sample.ts_nanos);
     }
-    sample.advice = std::string(AdviceName(snap.advice));
-    sample.text_buffer_size = snap.text_buffer_size;
-    sample.text_buffer_capacity = snap.text_buffer_capacity;
-    sample.position_buffer_size = snap.position_buffer_size;
-    sample.position_buffer_capacity = snap.position_buffer_capacity;
-    sample.output_buffer_size = snap.output_buffer_size;
-    sample.output_buffer_capacity = snap.output_buffer_capacity;
-    sample.busy_workers = snap.busy_workers;
-    sample.num_workers = snap.num_workers;
-    sample.cache_size = snap.cache_size;
-    sample.cache_capacity = snap.cache_capacity;
-    if (parent->arbiter_ != nullptr) {
-      sample.disk_reader_busy_nanos = parent->arbiter_->reader_busy_nanos();
-      sample.disk_writer_busy_nanos = parent->arbiter_->writer_busy_nanos();
-    }
     obs::Counter* advice_counter =
-        parent->advice_counters_[static_cast<size_t>(snap.advice)];
+        parent->advice_counters_[static_cast<size_t>(sample.advice)];
     if (advice_counter != nullptr) advice_counter->Add(1);
     return sample;
   }
@@ -293,10 +304,7 @@ struct ScanRaw::QueryRun::Impl {
   bool PushText(TextChunk chunk) {
     if (text_q.TryPush(std::move(chunk))) return true;
     parent->profile_.Add(ProfileCounter::kReadBlockedEvents);
-    if (obs::ChunkTracer* tracer = parent->tracer()) {
-      tracer->RecordInstant(obs::TraceInstant::kReadBlocked,
-                            chunk.chunk_index);
-    }
+    obs::FlightRecord(obs::FlightEvent::kReadBlocked, chunk.chunk_index);
     parent->MaybeTriggerSpeculativeWrite();
     return text_q.Push(std::move(chunk));
   }
@@ -418,7 +426,7 @@ struct ScanRaw::QueryRun::Impl {
     }
 
     // Cache hits reach the span store, the totals and READ's heartbeat;
-    // the tracer and flight ring keep to the conversion lifecycle.
+    // the flight ring keeps to the conversion lifecycle.
     const obs::StageSinks cache_sinks{.spans = sinks.spans,
                                       .totals = sinks.totals,
                                       .heartbeats = sinks.heartbeats};
@@ -807,7 +815,6 @@ struct ScanRaw::QueryRun::Impl {
   obs::SpanProfiler profiler;
   // Every sink a chunk-stage event of this query reaches.
   const obs::StageSinks sinks{.spans = &profiler,
-                              .tracer = parent->tracer(),
                               .totals = &parent->profile_.stages,
                               .heartbeats = parent->heartbeats_,
                               .flight = true};
@@ -856,7 +863,7 @@ void ScanRaw::QueryRun::Finish() { impl_->JoinAll(); }
 
 Status ScanRaw::QueryRun::status() const { return impl_->GetStatus(); }
 
-ResourceSnapshot ScanRaw::QueryRun::Resources() const {
+obs::ResourceSample ScanRaw::QueryRun::Resources() const {
   return impl_->SnapshotResources();
 }
 
@@ -871,7 +878,7 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
       arbiter_(arbiter),
       raw_limiter_(raw_limiter),
       options_(options),
-      cache_(options.cache_capacity_chunks, options.bias_evict_loaded),
+      cache_(options.cache_capacity_chunks),
       positional_maps_(options.cache_positional_maps
                            ? options.positional_map_cache_chunks
                            : 0,
@@ -879,9 +886,6 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
                            ? options.positional_map_cache_bytes
                            : 0),
       write_queue_(1 << 20) {
-  if (options_.reuse_buffers) {
-    buffer_pool_ = std::make_shared<ChunkBufferPool>();
-  }
   if (options_.telemetry != nullptr) {
     // Bind every registry mirror before the WRITE thread (or any query
     // pipeline) starts, so the hot paths read the pointers race-free.
@@ -892,27 +896,19 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
         registry.GetCounter("scanraw.posmap.misses"),
         registry.GetCounter("scanraw.posmap.disk_hits"),
         registry.GetCounter("scanraw.posmap.dialect_drops"));
-    options_.telemetry->tracer().SetLabel("scanraw:" + table_);
-    if (buffer_pool_ != nullptr) {
-      buffer_pool_->BindMetrics(
-          registry.GetCounter("scanraw.pool.buffer_hits"),
-          registry.GetCounter("scanraw.pool.buffer_misses"),
-          registry.GetGauge("scanraw.pool.idle_buffers"));
-    }
+    buffer_pool_->BindMetrics(registry.GetCounter("scanraw.pool.buffer_hits"),
+                              registry.GetCounter("scanraw.pool.buffer_misses"),
+                              registry.GetGauge("scanraw.pool.idle_buffers"));
     cache_.BindMetrics(registry.GetCounter("scanraw.cache.hits"),
                        registry.GetCounter("scanraw.cache.misses"),
                        registry.GetCounter("scanraw.cache.evictions"),
                        registry.GetCounter("scanraw.cache.biased_evictions"));
-    advice_counters_[static_cast<size_t>(
-        ResourceSnapshot::Advice::kNeedMoreCpu)] =
-        registry.GetCounter("scanraw.advice.need_more_cpu");
-    advice_counters_[static_cast<size_t>(ResourceSnapshot::Advice::kIoBound)] =
-        registry.GetCounter("scanraw.advice.io_bound");
-    advice_counters_[static_cast<size_t>(
-        ResourceSnapshot::Advice::kEngineBound)] =
-        registry.GetCounter("scanraw.advice.engine_bound");
-    advice_counters_[static_cast<size_t>(ResourceSnapshot::Advice::kBalanced)] =
-        registry.GetCounter("scanraw.advice.balanced");
+    // scanraw.advice.need_more_cpu, ...: AdviceName with '_' for '-'.
+    for (size_t i = 0; i < obs::kNumAdvice; ++i) {
+      std::string name(obs::AdviceName(static_cast<obs::Advice>(i)));
+      std::replace(name.begin(), name.end(), '-', '_');
+      advice_counters_[i] = registry.GetCounter("scanraw.advice." + name);
+    }
     heartbeats_ = &options_.telemetry->heartbeats();
     if (arbiter_ != nullptr) arbiter_->BindHeartbeats(heartbeats_);
     options_.telemetry->timeseries().TrackPipelineDefaults(&registry);
@@ -994,28 +990,17 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   // have ended cleanly), so the log gets a minimal event: spec, policy, and
   // the error. Failed queries still advance the history's recency clock.
   auto log_failure = [&](const Status& failure) {
-    if (options_.query_log == nullptr) return;
-    obs::QueryLogEvent event;
-    event.table = table_;
-    event.policy = std::string(LoadPolicyName(options_.policy));
-    event.status = failure.ToString();
-    event.wall_seconds =
-        static_cast<double>(RealClock::Instance()->NowNanos() -
-                            query_start_nanos) *
-        1e-9;
-    event.columns = spec.RequiredColumns();
-    if (spec.predicate.range.has_value()) {
-      event.predicate_columns.push_back(spec.predicate.range->column);
-    }
-    if (spec.predicate.pattern.has_value()) {
-      event.predicate_columns.push_back(spec.predicate.pattern->column);
-    }
-    event.advisor_used = options_.advisor != nullptr &&
-                         options_.policy == LoadPolicy::kSpeculativeLoading;
-    const Status append = options_.query_log->Append(std::move(event));
-    if (!append.ok()) {
-      LOG_WARN("scanraw: query log append failed: %s",
-               append.ToString().c_str());
+    if (options_.query_log != nullptr) {
+      obs::QueryLogEvent event =
+          MakeQueryLogEvent(table_, LoadPolicyName(options_.policy), spec,
+                            nullptr, nullptr, failure);
+      event.wall_seconds =
+          static_cast<double>(RealClock::Instance()->NowNanos() -
+                              query_start_nanos) *
+          1e-9;
+      event.advisor_used = options_.advisor != nullptr &&
+                           options_.policy == LoadPolicy::kSpeculativeLoading;
+      AppendToQueryLog(options_.query_log, std::move(event));
     }
     obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
   };
@@ -1131,43 +1116,10 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     }
 
     if (options_.query_log != nullptr) {
-      obs::QueryLogEvent event;
-      event.table = report->table;
-      event.policy = report->policy;
-      event.wall_seconds = report->wall_seconds;
-      event.columns = spec.RequiredColumns();
-      if (spec.predicate.range.has_value()) {
-        event.predicate_columns.push_back(spec.predicate.range->column);
-      }
-      if (spec.predicate.pattern.has_value()) {
-        event.predicate_columns.push_back(spec.predicate.pattern->column);
-      }
-      event.rows_scanned = result->rows_scanned;
-      event.rows_matched = result->rows_matched;
-      for (const obs::ExplainStage& stage : report->stages) {
-        event.stage_busy_seconds.emplace_back(stage.name, stage.busy_seconds);
-      }
-      event.chunks_from_cache = report->chunks_from_cache;
-      event.chunks_from_db = report->chunks_from_db;
-      event.chunks_from_raw = report->chunks_from_raw;
-      event.chunks_skipped = report->chunks_skipped;
-      event.chunks_written = report->chunks_written;
-      event.speculative_triggers = report->speculative_triggers;
+      obs::QueryLogEvent event = MakeQueryLogEvent(
+          table_, report->policy, spec, report, &*result, Status::OK());
       event.bytes_read = raw_io_stats_.bytes_read.load() - base_bytes_read;
-      event.bytes_written = report->bytes_written;
-      event.useful_bytes_written = report->useful_bytes_written;
-      event.cache_hit_rate =
-          report->HitRate(report->cache_hits, report->cache_misses);
-      event.posmap_hit_rate =
-          report->HitRate(report->posmap_hits, report->posmap_misses);
-      event.speculation_paid_off = report->speculation_paid_off;
-      event.advisor_used = report->advisor_used;
-      const Status append = options_.query_log->Append(std::move(event));
-      if (!append.ok()) {
-        // The log is advisory: a failed append never fails the query.
-        LOG_WARN("scanraw: query log append failed: %s",
-                 append.ToString().c_str());
-      }
+      AppendToQueryLog(options_.query_log, std::move(event));
     }
   }
   // After-cold-scan persistence hook: a query that tokenized raw bytes
@@ -1376,16 +1328,11 @@ void ScanRaw::MaybeTriggerSpeculativeWrite() {
   if (EnqueueWrite(victim_index, std::move(victim->second))) {
     profile_.Add(ProfileCounter::kSpeculativeTriggers);
     obs::FlightRecord(obs::FlightEvent::kSpeculativeTrigger, victim_index, 0);
-    if (obs::ChunkTracer* t = tracer()) {
-      t->RecordInstant(obs::TraceInstant::kSpeculativeTrigger, victim_index);
-    }
   }
 }
 
 void ScanRaw::SafeguardFlush() {
-  if (obs::ChunkTracer* t = tracer()) {
-    t->RecordInstant(obs::TraceInstant::kSafeguardFlush, /*chunk_index=*/0);
-  }
+  obs::FlightRecord(obs::FlightEvent::kSafeguardFlush);
   for (auto& [index, chunk] : cache_.UnloadedChunks()) {
     EnqueueWrite(index, std::move(chunk));
   }
@@ -1435,7 +1382,6 @@ void ScanRaw::WriteLoop() {
       // The WRITE thread outlives queries: its spans go to whichever query
       // is active when the write finishes (RecordSpan below).
       obs::StageScope stage({.spans = this,
-                             .tracer = tracer(),
                              .totals = &profile_.stages,
                              .heartbeats = heartbeats_,
                              .flight = true},
@@ -1449,13 +1395,11 @@ void ScanRaw::WriteLoop() {
         // storage before any catalog record points at them, so a crash
         // can leave orphan bytes in the storage tail (harmless) but never
         // a catalog entry referencing unsynced data.
-        if (options_.sync_segment_writes) status = storage_->Sync();
+        status = storage_->Sync();
         FaultKillPoint("scanraw.write.before_record");
         if (status.ok()) {
-          std::map<size_t, ColumnStats> stats;
-          if (options_.collect_stats) stats = ComputeChunkStats(*to_store);
           status = catalog_->RecordSegment(table_, req->chunk_index, *segment,
-                                           stats);
+                                           ComputeChunkStats(*to_store));
           FaultKillPoint("scanraw.write.after_record");
         }
         if (status.ok()) {

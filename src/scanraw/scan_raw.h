@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "db/sketches.h"
 #include "obs/explain.h"
 #include "obs/progress.h"
+#include "obs/query_log.h"
 #include "obs/span_profiler.h"
 #include "obs/stage.h"
 #include "obs/telemetry.h"
@@ -132,50 +134,25 @@ class PipelineProfile {
   std::array<obs::Counter*, kNumProfileCounters> mirrors_{};
 };
 
-// Live pipeline utilization, relayed to the database resource manager
-// (§3.3: "the scheduler is in the best position to monitor resource
-// utilization since it manages the allocation of worker threads ... These
-// data are relayed to the database resource manager as requests for
-// additional resources").
-struct ResourceSnapshot {
-  size_t text_buffer_size = 0;
-  size_t text_buffer_capacity = 0;
-  size_t position_buffer_size = 0;
-  size_t position_buffer_capacity = 0;
-  size_t output_buffer_size = 0;
-  size_t output_buffer_capacity = 0;
-  size_t busy_workers = 0;
-  size_t num_workers = 0;
-  size_t cache_size = 0;
-  size_t cache_capacity = 0;
-
-  enum class Advice {
-    // Every worker busy and the text buffer full: "additional CPUs are
-    // needed in order to cope with the I/O throughput".
-    kNeedMoreCpu,
-    // Workers starved and buffers empty: the disk is the bottleneck.
-    kIoBound,
-    // The engine is not draining the output buffer.
-    kEngineBound,
-    kBalanced,
-  };
-  Advice advice = Advice::kBalanced;
-
-  // Classifies the buffer/worker fields into the §3.3 advice states
-  // (exposed separately so the classification is unit-testable).
-  Advice ComputeAdvice() const;
-  void UpdateAdvice() { advice = ComputeAdvice(); }
-};
-
-// Stable lowercase-hyphen name for an advice state ("need-more-cpu", ...).
-std::string_view AdviceName(ResourceSnapshot::Advice advice);
-
 // The tokenize dialect a ScanRaw with `options` uses for `schema` — the
 // single source of truth shared by the TOKENIZE stage, the posmap cache,
 // and the sidecar load/save paths, so a persisted map can never be matched
 // against rules it was not built under.
 PosmapDialect TokenizeDialectFor(const Schema& schema,
                                  const ScanRawOptions& options);
+
+// The query-log event of one query on `table`: the spec's columns, then
+// either the report's counters and the result's row counts (a completed
+// query) or the failure status. `report` and `result` may be null.
+obs::QueryLogEvent MakeQueryLogEvent(std::string_view table,
+                                     std::string_view policy,
+                                     const QuerySpec& spec,
+                                     const obs::ExplainReport* report,
+                                     const QueryResult* result,
+                                     const Status& status);
+
+// Appends `event` to `log`; a failed append is logged, never returned.
+void AppendToQueryLog(obs::QueryLog* log, obs::QueryLogEvent event);
 
 class ScanRaw : private obs::SpanSink {
  public:
@@ -212,8 +189,8 @@ class ScanRaw : private obs::SpanSink {
     Status status() const;
 
     // Point-in-time utilization of the live pipeline (§3.3 resource
-    // management).
-    ResourceSnapshot Resources() const;
+    // management), with its advice state.
+    obs::ResourceSample Resources() const;
 
    private:
     friend class ScanRaw;
@@ -283,12 +260,8 @@ class ScanRaw : private obs::SpanSink {
   const ScanRawOptions& options() const { return options_; }
   PipelineProfile& profile() { return profile_; }
   // Telemetry sink wired at construction (null when options.telemetry was
-  // unset); tracer() is the chunk-lifecycle trace ring, or nullptr.
+  // unset).
   obs::Telemetry* telemetry() const { return options_.telemetry; }
-  obs::ChunkTracer* tracer() const {
-    return options_.telemetry != nullptr ? &options_.telemetry->tracer()
-                                         : nullptr;
-  }
   ChunkCache& cache() { return cache_; }
   PositionalMapCache& positional_maps() { return positional_maps_; }
   // Distinct/sample sketches collected during conversion; only populated
@@ -356,18 +329,18 @@ class ScanRaw : private obs::SpanSink {
 
   ChunkCache cache_;
   PositionalMapCache positional_maps_;
-  // Buffer recycler shared by READ/PARSE and the chunk release paths; null
-  // when options.reuse_buffers is off. Set once in the constructor.
-  std::shared_ptr<ChunkBufferPool> buffer_pool_;
+  // Buffer recycler shared by READ/PARSE and the chunk release paths.
+  const std::shared_ptr<ChunkBufferPool> buffer_pool_ =
+      std::make_shared<ChunkBufferPool>();
   TableSketches sketches_;
   // Chunks already folded into the sketches, so re-scans do not bias the
   // reservoir sample (the KMV sketch is naturally idempotent).
   Mutex sketched_mu_{LockRank::kScanSketched, "ScanRaw.sketched_mu"};
   std::set<uint64_t> sketched_chunks_ GUARDED_BY(sketched_mu_);
   PipelineProfile profile_;
-  // Advice-state occurrence counters, indexed by ResourceSnapshot::Advice
-  // (null when telemetry is unset); bumped by the per-query sampler.
-  obs::Counter* advice_counters_[4] = {nullptr, nullptr, nullptr, nullptr};
+  // Advice-state occurrence counters, indexed by obs::Advice (null when
+  // telemetry is unset); bumped by the per-query sampler.
+  obs::Counter* advice_counters_[obs::kNumAdvice] = {};
   // Watchdog heartbeat board from the telemetry sink (null when telemetry
   // is unset); stages beat through this on every chunk boundary.
   obs::StageHeartbeats* heartbeats_ = nullptr;

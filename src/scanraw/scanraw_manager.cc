@@ -242,6 +242,7 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
   if (!meta.ok()) return meta.status();
 
   ScanRaw* op = nullptr;
+  obs::QueryLog* query_log = nullptr;  // the retired table's, if any
   {
     MutexLock lock(mu_);
     auto it = operators_.find(table);
@@ -300,30 +301,46 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
       }
       operators_.emplace(table, std::move(created));
     }
+    if (op == nullptr) {
+      auto opt_it = options_.find(table);
+      if (opt_it != options_.end()) query_log = opt_it->second.query_log;
+    }
   }
 
   if (op != nullptr) return op->ExecuteQuery(spec, explain);
 
-  // Fully loaded: plain database processing through the heap scan.
+  // Fully loaded: plain database processing through the heap scan. As in
+  // ScanRaw::ExecuteQuery, the report is filled for EXPLAIN and, locally,
+  // for the query log.
+  obs::ExplainReport local_report;
+  obs::ExplainReport* report =
+      explain != nullptr ? explain
+                         : (query_log != nullptr ? &local_report : nullptr);
   obs::SpanProfiler profiler;
+  obs::SpanProfiler* spans = report != nullptr ? &profiler : nullptr;
   HeapScanStream stream(*meta, storage_.get(), spec.RequiredColumns(),
-                        spec.predicate.range,
-                        explain != nullptr ? &profiler : nullptr);
+                        spec.predicate.range, spans);
   stream.scan().BindMetrics(
       telemetry_.metrics().GetCounter("heapscan.chunks_scanned"),
       telemetry_.metrics().GetCounter("heapscan.chunks_skipped"));
-  auto result = RunQuery(spec, &stream,
-                         explain != nullptr ? &profiler : nullptr);
-  if (explain != nullptr && result.ok()) {
+  auto result = RunQuery(spec, &stream, spans);
+  if (report != nullptr && result.ok()) {
     profiler.End();
-    explain->table = table;
-    explain->policy = "heap-scan (retired)";
-    explain->workers = 1;
-    explain->FillFromProfile(profiler.Aggregate());
-    explain->chunks_from_db = stream.scan().chunks_scanned();
-    explain->chunks_skipped = stream.scan().chunks_skipped();
-    explain->loaded_fraction_before = 1.0;
-    explain->loaded_fraction_after = 1.0;
+    report->table = table;
+    report->policy = "heap-scan (retired)";
+    report->workers = 1;
+    report->FillFromProfile(profiler.Aggregate());
+    report->chunks_from_db = stream.scan().chunks_scanned();
+    report->chunks_skipped = stream.scan().chunks_skipped();
+    report->loaded_fraction_before = 1.0;
+    report->loaded_fraction_after = 1.0;
+  }
+  if (query_log != nullptr) {
+    AppendToQueryLog(
+        query_log,
+        MakeQueryLogEvent(table, "heap-scan (retired)", spec,
+                          result.ok() ? report : nullptr,
+                          result.ok() ? &*result : nullptr, result.status()));
   }
   return result;
 }

@@ -17,6 +17,7 @@
 #include "io/fault_injection.h"
 #include "io/file.h"
 #include "obs/flight_recorder.h"
+#include "scanraw/scan_raw.h"
 #include "scanraw/scanraw_manager.h"
 
 namespace scanraw {
@@ -146,6 +147,95 @@ TEST_F(FlightRecorderTest, ReleasedRingsAreReusedByLaterThreads) {
   // Sequential threads reuse released rings instead of exhausting the pool.
   EXPECT_LE(FlightRecorder::Global()->rings_used(), 3u);
   EXPECT_EQ(FlightRecorder::Global()->events_dropped(), 0u);
+}
+
+// Dumps and trace exports read the rings while pipeline threads record:
+// the snapshot sees only whole slots (each field an atomic), never a crash
+// or a data race.
+TEST_F(FlightRecorderTest, SnapshotAndExportWhileRecording) {
+  constexpr size_t kThreads = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> started{0};
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([t, &stop, &started] {
+      for (uint64_t i = 0; i == 0 || !stop.load(); ++i) {
+        FlightRecord(Stage::kParse, i, t, ChunkSource::kCache, 10);
+        FlightRecord(FlightEvent::kDeliver, i, t);
+        if (i == 0) started.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < kThreads) std::this_thread::yield();
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& e : FlightRecorder::Global()->Snapshot()) {
+      EXPECT_TRUE(e.event == FlightEvent::kStage ||
+                  e.event == FlightEvent::kDeliver);
+    }
+    const std::string json = FlightRecorder::Global()->ToChromeTraceJson("t");
+    EXPECT_EQ(json.front(), '[');
+  }
+  stop.store(true);
+  for (std::thread& t : writers) t.join();
+  EXPECT_GE(FlightRecorder::Global()->events_recorded(), 2 * kThreads);
+}
+
+// A speculative scan whose READ blocks on a full text buffer and that ends
+// with the safeguard flush leaves both scheduler instants in the dump and
+// in the Chrome export.
+TEST_F(FlightRecorderTest, SpeculativeScanRecordsSchedulerInstants) {
+  const std::string csv_path = TempPath(".csv");
+  CsvSpec spec;
+  spec.num_rows = 2000;
+  spec.num_columns = 4;
+  spec.seed = 7;
+  auto info = GenerateCsvFile(csv_path, spec);
+  ASSERT_TRUE(info.ok());
+  ScanRawManager::Config config;
+  config.db_path = TempPath(".db");
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ScanRawOptions options;
+  options.policy = LoadPolicy::kSpeculativeLoading;
+  // Sequential conversion: TOKENIZE and PARSE block on their full output
+  // buffers, so an unconsumed pipeline must back up into READ.
+  options.num_workers = 0;
+  options.chunk_rows = 250;  // 8 chunks
+  options.text_buffer_capacity = 1;
+  options.position_buffer_capacity = 1;
+  options.output_buffer_capacity = 1;
+  ASSERT_TRUE((*manager)
+                  ->RegisterRawFile("t", csv_path, CsvSchema(spec), options)
+                  .ok());
+  ScanRaw op("t", (*manager)->catalog(), (*manager)->storage(),
+             (*manager)->arbiter(), nullptr, options);
+  auto run = op.StartQuery({0, 1, 2, 3});
+  ASSERT_TRUE(run.ok());
+  // Nothing consumes the output until READ has blocked.
+  while (op.profile().Get(ProfileCounter::kReadBlockedEvents) == 0) {
+    std::this_thread::yield();
+  }
+  uint64_t rows = 0;
+  while (true) {
+    auto next = (*run)->Next();
+    ASSERT_TRUE(next.ok());
+    if (!next->has_value()) break;
+    rows += (**next)->num_rows();
+  }
+  (*run)->Finish();
+  op.WaitForWrites();
+  EXPECT_EQ(rows, 2000u);
+
+  const std::string dump = DumpToString();
+  EXPECT_NE(dump.find("read-blocked"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("safeguard-flush"), std::string::npos) << dump;
+  const std::string json = FlightRecorder::Global()->ToChromeTraceJson("t");
+  for (const char* name : {"read-blocked", "safeguard-flush"}) {
+    const std::string instant = std::string("\"name\":\"") + name +
+                                "\",\"cat\":\"scanraw\",\"ph\":\"i\"";
+    EXPECT_NE(json.find(instant), std::string::npos) << name;
+  }
 }
 
 // The acceptance scenario: a child process runs the real conversion

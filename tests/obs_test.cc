@@ -1,6 +1,6 @@
 // Tests for the obs/ building blocks in isolation: counters, gauges,
-// log-bucketed histograms (quantiles, reset, JSON), the chunk-lifecycle
-// tracer (ring wrap, Chrome export), the stage event and its sinks, the
+// log-bucketed histograms (quantiles, reset, JSON), the flight recorder's
+// snapshot and Chrome trace export, the stage event and its sinks, the
 // resource log, and the sampler thread.
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "obs/span_profiler.h"
 #include "obs/stage.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace scanraw {
 namespace obs {
@@ -202,62 +201,66 @@ TEST(JsonEscapeTest, EscapesControlAndQuotes) {
   EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
 }
 
-TEST(ChunkTracerTest, RecordsSpansInOrder) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-  tracer.RecordSpan(Stage::kTokenize, ChunkSource::kRaw, 0, 1100, 70);
-  auto events = tracer.Snapshot();
+// The flight recorder is the session's trace store: Snapshot() decodes
+// every ring and ToChromeTraceJson() exports it. The recorder is
+// process-global, so each test starts from a reset one.
+class FlightTraceTest : public testing::Test {
+ protected:
+  void SetUp() override { FlightRecorder::Global()->ResetForTest(); }
+};
+
+TEST_F(FlightTraceTest, RecordsSpansInOrder) {
+  FlightRecord(Stage::kRead, 0, 0, ChunkSource::kRaw, 50);
+  FlightRecord(Stage::kTokenize, 0, 0, ChunkSource::kRaw, 70);
+  const auto events = FlightRecorder::Global()->Snapshot();
   ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].event, FlightEvent::kStage);
   EXPECT_EQ(events[0].stage, Stage::kRead);
+  EXPECT_EQ(events[0].dur_nanos, 50u);
   EXPECT_EQ(events[1].stage, Stage::kTokenize);
-  EXPECT_EQ(tracer.recorded(), 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(events[1].dur_nanos, 70u);
+  EXPECT_EQ(events[0].tid, CurrentThreadId());
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), 2u);
+  EXPECT_EQ(FlightRecorder::Global()->events_dropped(), 0u);
 }
 
-TEST(ChunkTracerTest, RingWrapKeepsNewestAndCountsDropped) {
-  ChunkTracer tracer(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    tracer.RecordSpan(Stage::kParse, ChunkSource::kRaw, i, 1000 + i, 1);
+TEST_F(FlightTraceTest, SnapshotKeepsEachThreadsNewestEvents) {
+  constexpr uint64_t kEvents = FlightRecorder::kRingEvents + 6;
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    FlightRecord(Stage::kParse, i, 0, ChunkSource::kRaw, 1);
   }
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().chunk_index, 6u);
-  EXPECT_EQ(events.back().chunk_index, 9u);
-  EXPECT_EQ(tracer.recorded(), 10u);
-  EXPECT_EQ(tracer.dropped(), 6u);
+  const auto events = FlightRecorder::Global()->Snapshot();
+  ASSERT_EQ(events.size(), FlightRecorder::kRingEvents);
+  EXPECT_EQ(events.front().a, 6u);
+  EXPECT_EQ(events.back().a, kEvents - 1);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), kEvents);
 }
 
-TEST(ChunkTracerTest, ZeroCapacityDisablesRecording) {
-  ChunkTracer tracer(0);
-  EXPECT_FALSE(tracer.enabled());
-  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 0, 1);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-}
-
-TEST(ChunkTracerTest, ChromeExportShape) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(Stage::kRead, ChunkSource::kDb, 3, 5000, 2000);
-  tracer.RecordInstant(TraceInstant::kSpeculativeTrigger, 3);
-  const std::string json = tracer.ToChromeTraceJson();
+TEST_F(FlightTraceTest, ChromeExportShape) {
+  FlightRecord(Stage::kRead, 3, 0, ChunkSource::kDb, 2000);
+  FlightRecord(FlightEvent::kSpeculativeTrigger, 3);
+  size_t exported = 0;
+  const std::string json =
+      FlightRecorder::Global()->ToChromeTraceJson("", &exported);
+  EXPECT_EQ(exported, 2u);
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("READ"), std::string::npos);
-  EXPECT_NE(json.find("SPECULATIVE_TRIGGER"), std::string::npos);
-  EXPECT_NE(json.find("\"db\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"READ\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"spec-trigger\""), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":2,"), std::string::npos);
+  EXPECT_NE(json.find("\"chunk\":3,\"source\":\"db\""), std::string::npos);
   // Loadable as a top-level array (trailing newline allowed).
   EXPECT_NE(json.find_last_of(']'), std::string::npos);
 }
 
-TEST(ChunkTracerTest, LabelIsEscapedInChromeExport) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
+TEST_F(FlightTraceTest, LabelIsEscapedInChromeExport) {
+  FlightRecord(Stage::kRead, 0, 0, ChunkSource::kRaw, 50);
 
   // Labels flow from user input (table names, file paths); quotes,
   // backslashes and control characters must not corrupt the JSON.
-  tracer.SetLabel("scanraw:\"quoted\\table\"\n\ttab");
-  EXPECT_EQ(tracer.label(), "scanraw:\"quoted\\table\"\n\ttab");
-  const std::string json = tracer.ToChromeTraceJson();
+  const std::string json = FlightRecorder::Global()->ToChromeTraceJson(
+      "scanraw:\"quoted\\table\"\n\ttab");
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("scanraw:\\\"quoted\\\\table\\\"\\n\\ttab"),
             std::string::npos);
@@ -268,10 +271,9 @@ TEST(ChunkTracerTest, LabelIsEscapedInChromeExport) {
   }
 }
 
-TEST(ChunkTracerTest, EmptyLabelOmitsMetadataEvent) {
-  ChunkTracer tracer(16);
-  tracer.RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 1000, 50);
-  const std::string json = tracer.ToChromeTraceJson();
+TEST_F(FlightTraceTest, EmptyLabelOmitsMetadataEvent) {
+  FlightRecord(Stage::kRead, 0, 0, ChunkSource::kRaw, 50);
+  const std::string json = FlightRecorder::Global()->ToChromeTraceJson("");
   EXPECT_EQ(json.find("\"ph\":\"M\""), std::string::npos);
 }
 
@@ -290,7 +292,6 @@ TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
 struct AllSinks {
   VirtualClock clock;
   SpanProfiler profiler{&clock};
-  ChunkTracer tracer{1 << 16};
   Histogram parse_latency;
   StageTotals totals;
   StageHeartbeats heartbeats;
@@ -299,7 +300,6 @@ struct AllSinks {
 
   StageSinks Bound() {
     return {.spans = &profiler,
-            .tracer = &tracer,
             .totals = &totals,
             .heartbeats = &heartbeats,
             .flight = true,
@@ -318,7 +318,7 @@ std::string FlightDump() {
 
 TEST(StageScopeTest, OneEventReachesEveryBoundSink) {
   AllSinks sinks;
-  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
+  FlightRecorder::Global()->ResetForTest();
   {
     StageScope stage(sinks.Bound(), Stage::kParse, ChunkSource::kDb, 0);
     sinks.clock.AdvanceNanos(250);
@@ -331,13 +331,14 @@ TEST(StageScopeTest, OneEventReachesEveryBoundSink) {
   EXPECT_EQ(parse.spans, 1u);
   EXPECT_EQ(parse.busy_nanos, 250);
 
-  const auto events = sinks.tracer.Snapshot();
+  const auto events = FlightRecorder::Global()->Snapshot();
   ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].event, FlightEvent::kStage);
   EXPECT_EQ(events[0].stage, Stage::kParse);
-  EXPECT_EQ(events[0].instant, TraceInstant::kNone);
   EXPECT_EQ(events[0].source, ChunkSource::kDb);
-  EXPECT_EQ(events[0].chunk_index, 7u);
-  EXPECT_EQ(events[0].dur_nanos, 250);
+  EXPECT_EQ(events[0].a, 7u);
+  EXPECT_EQ(events[0].b, 4242u);
+  EXPECT_EQ(events[0].dur_nanos, 250u);
 
   EXPECT_EQ(sinks.totals.chunks(Stage::kParse), 1u);
   EXPECT_EQ(sinks.totals.nanos(Stage::kParse), 250);
@@ -347,7 +348,7 @@ TEST(StageScopeTest, OneEventReachesEveryBoundSink) {
   EXPECT_EQ(sinks.heartbeats.beats(Stage::kParse), 1u);
   EXPECT_EQ(sinks.heartbeats.active(Stage::kParse), 0);
 
-  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), flight_before + 1);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), 1u);
   const std::string dump = FlightDump();
   EXPECT_NE(dump.find("parse        a=7 b=4242"), std::string::npos) << dump;
 }
@@ -363,7 +364,6 @@ TEST(StageScopeTest, NullSinksAreSkipped) {
   EXPECT_EQ(sinks.parse_latency.count(), 1u);  // the totals' own mirror
   const auto report = sinks.profiler.Aggregate();
   EXPECT_EQ(report.stages[static_cast<size_t>(Stage::kParse)].spans, 0u);
-  EXPECT_EQ(sinks.tracer.recorded(), 0u);
   EXPECT_EQ(sinks.heartbeats.beats(Stage::kParse), 0u);
   EXPECT_EQ(FlightRecorder::Global()->events_recorded(), flight_before);
 }
@@ -378,7 +378,6 @@ TEST(StageScopeTest, CancelSuppressesEverySink) {
   }
   const auto report = sinks.profiler.Aggregate();
   EXPECT_EQ(report.stages[static_cast<size_t>(Stage::kParse)].spans, 0u);
-  EXPECT_EQ(sinks.tracer.recorded(), 0u);
   EXPECT_EQ(sinks.totals.chunks(Stage::kParse), 0u);
   EXPECT_EQ(sinks.totals.nanos(Stage::kParse), 0);
   EXPECT_EQ(sinks.parse_latency.count(), 0u);
@@ -390,17 +389,15 @@ TEST(StageScopeTest, ConcurrentEventsAddUpExactly) {
   constexpr uint64_t kThreads = 4;
   constexpr uint64_t kEvents = 2000;
   SpanProfiler profiler;
-  ChunkTracer tracer(kThreads * kEvents);
   Histogram latency;
   StageTotals totals;
   totals.BindHistogram(Stage::kTokenize, &latency);
   StageHeartbeats heartbeats;
   const StageSinks sinks{.spans = &profiler,
-                         .tracer = &tracer,
                          .totals = &totals,
                          .heartbeats = &heartbeats,
                          .flight = true};
-  const uint64_t flight_before = FlightRecorder::Global()->events_recorded();
+  FlightRecorder::Global()->ResetForTest();
   std::vector<std::thread> threads;
   for (uint64_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&sinks, t] {
@@ -417,16 +414,22 @@ TEST(StageScopeTest, ConcurrentEventsAddUpExactly) {
   const auto& tok = report.stages[static_cast<size_t>(Stage::kTokenize)];
   EXPECT_EQ(tok.spans, kTotal);
   EXPECT_EQ(tok.threads, kThreads);
-  EXPECT_EQ(tracer.recorded(), kTotal);
-  EXPECT_EQ(tracer.dropped(), 0u);
   EXPECT_EQ(totals.chunks(Stage::kTokenize), kTotal);
   EXPECT_EQ(latency.count(), kTotal);
   EXPECT_EQ(static_cast<uint64_t>(totals.nanos(Stage::kTokenize)),
             latency.sum());
   EXPECT_EQ(static_cast<uint64_t>(tok.busy_nanos), latency.sum());
   EXPECT_EQ(heartbeats.beats(Stage::kTokenize), kTotal);
-  EXPECT_EQ(FlightRecorder::Global()->events_recorded(),
-            flight_before + kTotal);
+  EXPECT_EQ(FlightRecorder::Global()->events_recorded(), kTotal);
+  EXPECT_EQ(FlightRecorder::Global()->events_dropped(), 0u);
+  // The rings keep each thread's newest events, every one intact.
+  const auto events = FlightRecorder::Global()->Snapshot();
+  EXPECT_GE(events.size(), FlightRecorder::kRingEvents);
+  for (const FlightRecorder::Event& e : events) {
+    EXPECT_EQ(e.event, FlightEvent::kStage);
+    EXPECT_EQ(e.stage, Stage::kTokenize);
+    EXPECT_LT(e.a, kTotal);
+  }
 }
 
 TEST(ResourceLogTest, BoundedRing) {
@@ -448,7 +451,7 @@ TEST(ResourceLogTest, JsonIsArrayWithAdvice) {
   ResourceLog log(8);
   ResourceSample s;
   s.ts_nanos = 1000;
-  s.advice = "io-bound";
+  s.advice = Advice::kIoBound;
   log.Append(std::move(s));
   const std::string json = log.ToJson();
   EXPECT_EQ(json.front(), '[');
@@ -507,14 +510,15 @@ TEST(ResourceSamplerTest, PeriodicSampling) {
 TEST(TelemetryTest, CombinedJsonExport) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("a")->Add(1);
-  telemetry.tracer().RecordSpan(Stage::kRead, ChunkSource::kRaw, 0, 0, 1);
   ResourceSample s;
-  s.advice = "balanced";
+  s.advice = Advice::kBalanced;
   telemetry.resources().Append(std::move(s));
   const std::string json = telemetry.ToJson();
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"resource_samples\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace_events_recorded\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"advice\":\"balanced\""), std::string::npos);
+  // Stage events live in the flight recorder, not in the telemetry export.
+  EXPECT_EQ(json.find("trace_events"), std::string::npos);
 }
 
 TEST(HistogramTest, EmptyQuantilesAreZero) {

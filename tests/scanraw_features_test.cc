@@ -524,7 +524,7 @@ TEST(ResourceMonitorTest, SnapshotsLivePipeline) {
   EXPECT_EQ(snapshot.num_workers, 2u);
   EXPECT_EQ(snapshot.output_buffer_capacity, 1u);
   EXPECT_GE(snapshot.output_buffer_size, 1u);
-  EXPECT_NE(snapshot.advice, ResourceSnapshot::Advice::kIoBound);
+  EXPECT_NE(snapshot.advice, obs::Advice::kIoBound);
   // Drain; at the end the pipeline reports idle/IO-bound.
   while (true) {
     auto next = (*run)->Next();

@@ -1,7 +1,8 @@
 // Tests for the telemetry wiring through the SCANRAW pipeline: the §3.3
 // resource-advice classification, reconciliation of the PipelineProfile
 // counters with catalog state after a multi-query speculative run, and the
-// registry / tracer / sampler integration through the ScanRawManager.
+// registry / flight recorder / sampler integration through the
+// ScanRawManager.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "datagen/csv_generator.h"
 #include "obs/explain.h"
+#include "obs/flight_recorder.h"
 #include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "scanraw/scan_raw.h"
@@ -32,8 +34,8 @@ std::string TempPath(const std::string& name) {
 
 // ----------------------------------------------- advice classification ----
 
-ResourceSnapshot BalancedSnapshot() {
-  ResourceSnapshot s;
+obs::ResourceSample BalancedSnapshot() {
+  obs::ResourceSample s;
   s.text_buffer_size = 2;
   s.text_buffer_capacity = 8;
   s.position_buffer_size = 1;
@@ -46,69 +48,69 @@ ResourceSnapshot BalancedSnapshot() {
 }
 
 TEST(AdviceTest, BalancedPipeline) {
-  EXPECT_EQ(BalancedSnapshot().ComputeAdvice(),
-            ResourceSnapshot::Advice::kBalanced);
+  EXPECT_EQ(obs::ComputeAdvice(BalancedSnapshot()),
+            obs::Advice::kBalanced);
 }
 
 TEST(AdviceTest, NeedMoreCpuWhenSaturatedAndTextFull) {
   // "All worker threads are busy and the text chunk buffer is full" (§3.3).
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.busy_workers = s.num_workers;
   s.text_buffer_size = s.text_buffer_capacity;
-  EXPECT_EQ(s.ComputeAdvice(), ResourceSnapshot::Advice::kNeedMoreCpu);
+  EXPECT_EQ(obs::ComputeAdvice(s), obs::Advice::kNeedMoreCpu);
 }
 
 TEST(AdviceTest, BusyWorkersAloneAreNotACpuRequest) {
   // Saturated workers with a draining text buffer: conversion keeps up
   // with the disk, no extra CPU needed.
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.busy_workers = s.num_workers;
   s.text_buffer_size = 1;
-  EXPECT_EQ(s.ComputeAdvice(), ResourceSnapshot::Advice::kBalanced);
+  EXPECT_EQ(obs::ComputeAdvice(s), obs::Advice::kBalanced);
 }
 
 TEST(AdviceTest, IoBoundWhenWorkersStarved) {
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.busy_workers = 0;
   s.text_buffer_size = 0;
   s.position_buffer_size = 0;
   s.output_buffer_size = 0;
-  EXPECT_EQ(s.ComputeAdvice(), ResourceSnapshot::Advice::kIoBound);
+  EXPECT_EQ(obs::ComputeAdvice(s), obs::Advice::kIoBound);
 }
 
 TEST(AdviceTest, EngineBoundWhenOutputFull) {
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.output_buffer_size = s.output_buffer_capacity;
-  EXPECT_EQ(s.ComputeAdvice(), ResourceSnapshot::Advice::kEngineBound);
+  EXPECT_EQ(obs::ComputeAdvice(s), obs::Advice::kEngineBound);
 }
 
 TEST(AdviceTest, CpuRequestWinsOverEngineBound) {
   // Everything full at once: the CPU request is checked first — it is the
   // state the resource manager can actually act on mid-query.
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.busy_workers = s.num_workers;
   s.text_buffer_size = s.text_buffer_capacity;
   s.output_buffer_size = s.output_buffer_capacity;
-  EXPECT_EQ(s.ComputeAdvice(), ResourceSnapshot::Advice::kNeedMoreCpu);
+  EXPECT_EQ(obs::ComputeAdvice(s), obs::Advice::kNeedMoreCpu);
 }
 
 TEST(AdviceTest, SequentialPipelineNeverAsksForCpu) {
   // num_workers == 0 (fully sequential conversion) must not classify as a
   // CPU request even with a full text buffer.
-  ResourceSnapshot s = BalancedSnapshot();
+  obs::ResourceSample s = BalancedSnapshot();
   s.num_workers = 0;
   s.busy_workers = 0;
   s.text_buffer_size = s.text_buffer_capacity;
-  EXPECT_NE(s.ComputeAdvice(), ResourceSnapshot::Advice::kNeedMoreCpu);
+  EXPECT_NE(obs::ComputeAdvice(s), obs::Advice::kNeedMoreCpu);
 }
 
 TEST(AdviceTest, NamesAreStable) {
-  EXPECT_EQ(AdviceName(ResourceSnapshot::Advice::kNeedMoreCpu),
+  EXPECT_EQ(obs::AdviceName(obs::Advice::kNeedMoreCpu),
             "need-more-cpu");
-  EXPECT_EQ(AdviceName(ResourceSnapshot::Advice::kIoBound), "io-bound");
-  EXPECT_EQ(AdviceName(ResourceSnapshot::Advice::kEngineBound),
+  EXPECT_EQ(obs::AdviceName(obs::Advice::kIoBound), "io-bound");
+  EXPECT_EQ(obs::AdviceName(obs::Advice::kEngineBound),
             "engine-bound");
-  EXPECT_EQ(AdviceName(ResourceSnapshot::Advice::kBalanced), "balanced");
+  EXPECT_EQ(obs::AdviceName(obs::Advice::kBalanced), "balanced");
 }
 
 // ----------------------------------------- pipeline integration fixture ---
@@ -226,8 +228,10 @@ TEST(ProfileReconcileTest, ResetClearsRegistryMirrors) {
 
 // Every sink of the READ stage event counts each chunk read exactly once:
 // the discovery scan's final EOF probe reads no chunk, so it must vanish
-// from the histogram, the per-operator totals, EXPLAIN and the tracer alike.
+// from the histogram, the per-operator totals, EXPLAIN and the flight
+// recorder alike.
 TEST(ProfileReconcileTest, DiscoveryScanCountsEachReadOnce) {
+  obs::FlightRecorder::Global()->ResetForTest();
   ScanRawOptions options = BaseOptions();
   options.policy = LoadPolicy::kExternalTables;
   auto f = Fixture::Make("eof_probe", options);
@@ -252,8 +256,9 @@ TEST(ProfileReconcileTest, DiscoveryScanCountsEachReadOnce) {
   }
   EXPECT_EQ(explain_reads, chunks);
   uint64_t traced_reads = 0;
-  for (const obs::TraceEvent& e : f.manager->telemetry()->tracer().Snapshot()) {
-    if (e.instant == obs::TraceInstant::kNone && e.stage == obs::Stage::kRead) {
+  for (const obs::FlightRecorder::Event& e :
+       obs::FlightRecorder::Global()->Snapshot()) {
+    if (e.event == obs::FlightEvent::kStage && e.stage == obs::Stage::kRead) {
       ++traced_reads;
     }
   }
@@ -345,6 +350,7 @@ TEST(ManagerTelemetryTest, CacheOnlyScanBeatsReadOncePerChunk) {
 }
 
 TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
+  obs::FlightRecorder::Global()->ResetForTest();
   auto f = Fixture::Make("trace", BaseOptions());
   QuerySpec q;
   for (size_t c = 0; c < 8; ++c) q.sum_columns.push_back(c);
@@ -353,16 +359,20 @@ TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
   ASSERT_NE(op, nullptr);
   op->WaitForWrites();
 
-  obs::ChunkTracer& tracer = f.manager->telemetry()->tracer();
-  auto events = tracer.Snapshot();
-  ASSERT_FALSE(events.empty());
+  std::vector<obs::FlightRecorder::Event> stages;
+  for (const obs::FlightRecorder::Event& e :
+       obs::FlightRecorder::Global()->Snapshot()) {
+    if (e.event == obs::FlightEvent::kStage) stages.push_back(e);
+  }
+  ASSERT_FALSE(stages.empty());
 
   // Every raw chunk of the discovery scan has a complete
   // READ -> TOKENIZE -> PARSE span set; written chunks add WRITE.
   for (uint64_t chunk = 0; chunk < 8; ++chunk) {
     bool read = false, tokenize = false, parse = false;
-    for (const obs::TraceEvent& e : events) {
-      if (e.chunk_index != chunk) continue;
+    for (const obs::FlightRecorder::Event& e : stages) {
+      if (e.a != chunk) continue;
+      EXPECT_EQ(e.source, obs::ChunkSource::kRaw);
       read = read || e.stage == obs::Stage::kRead;
       tokenize = tokenize || e.stage == obs::Stage::kTokenize;
       parse = parse || e.stage == obs::Stage::kParse;
@@ -370,15 +380,18 @@ TEST(ManagerTelemetryTest, TracerRecordsFullChunkLifecycle) {
     EXPECT_TRUE(read && tokenize && parse) << "chunk " << chunk;
   }
   uint64_t writes = 0;
-  for (const obs::TraceEvent& e : events) {
+  for (const obs::FlightRecorder::Event& e : stages) {
     if (e.stage == obs::Stage::kWrite) ++writes;
   }
   EXPECT_EQ(writes, op->profile().Get(ProfileCounter::kChunksWritten));
 
-  const std::string json = tracer.ToChromeTraceJson();
+  const std::string json =
+      obs::FlightRecorder::Global()->ToChromeTraceJson("scanraw:t");
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find_last_of(']'), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"PARSE\""), std::string::npos);
+  EXPECT_NE(json.find("\"chunk\":7,\"source\":\"raw\""), std::string::npos);
 }
 
 TEST(ManagerTelemetryTest, ExplicitSinkOverridesManagerSink) {
@@ -508,7 +521,6 @@ TEST(ExplainE2eTest, SkippedChunksSurfaceInReport) {
   // all of them.
   ScanRawOptions options = BaseOptions();
   options.policy = LoadPolicy::kFullLoad;
-  options.collect_stats = true;
   auto f = Fixture::Make("explain_skip", options);
   // Sum every column so the full load materializes complete chunks (a
   // narrower query would load only the touched columns and the table

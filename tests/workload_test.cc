@@ -277,6 +277,48 @@ class WorkloadReplayTest : public testing::Test {
   CsvFileInfo info_;
 };
 
+// Once a fully loaded table's operator retires, the manager answers its
+// queries with a heap scan; those queries must reach the query log too, or
+// the workload history undercounts every query on a loaded table.
+TEST_F(WorkloadReplayTest, QueriesOnARetiredTableAreLogged) {
+  const std::string log_path = TempPath(".jsonl");
+  ASSERT_TRUE(RemoveFileIfExists(log_path).ok());
+  ASSERT_TRUE(RemoveFileIfExists(log_path + ".1").ok());
+  ScanRawManager::Config config;
+  config.db_path = TempPath(".db");
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  auto log = QueryLog::Open(log_path);
+  ASSERT_TRUE(log.ok());
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  options.query_log = log->get();
+  ASSERT_TRUE((*manager)
+                  ->RegisterRawFile("t", csv_path_, CsvSchema(spec_), options)
+                  .ok());
+
+  for (int i = 0; i < 2; ++i) {
+    auto result = (*manager)->Query("t", FullQuery());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->total_sum, info_.total_sum);
+  }
+  EXPECT_TRUE((*manager)->IsRetired("t"));
+
+  auto events = QueryLog::ReadAll(log_path);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 2u);
+  EXPECT_EQ((*events)[0].policy, "full-load");
+  const QueryLogEvent& retired = (*events)[1];
+  EXPECT_EQ(retired.policy, "heap-scan (retired)");
+  EXPECT_EQ(retired.status, "ok");
+  EXPECT_EQ(retired.columns, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(retired.rows_scanned, kRows);
+  auto meta = (*manager)->catalog()->GetTable("t");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(retired.chunks_from_db, meta->chunks.size());
+  EXPECT_EQ(retired.chunks_from_raw, 0u);
+}
+
 TEST_F(WorkloadReplayTest, PersistedHistoryChangesLoadOrderNotResults) {
   const std::string log_path = TempPath(".jsonl");
   const std::string history_path = TempPath(".history");

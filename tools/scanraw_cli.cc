@@ -33,8 +33,9 @@
 //                         from rolling throughput) to stderr while a query
 //                         runs
 //   --progress-interval-ms N  progress reporting period (default 200)
-//   --trace-out PATH      write the chunk-lifecycle trace as a Chrome
-//                         trace_event JSON array (load via chrome://tracing)
+//   --trace-out PATH      write the flight recorder's session events as a
+//                         Chrome trace_event JSON array (load via
+//                         chrome://tracing); each thread's last 256 events
 //   --sample-interval-ms N  period of the §3.3 resource-advice sampler
 //                         (default 2 when --metrics/--trace-out is given)
 //   --query-log PATH      append one JSONL event per query (spec, stage
@@ -891,7 +892,13 @@ int Run(int argc, char** argv) {
     }
   }
   if (!options->trace_path.empty()) {
-    const std::string json = telemetry->tracer().ToChromeTraceJson();
+    std::string label = "scanraw:";
+    for (size_t i = 0; i < options->tables.size(); ++i) {
+      label += (i > 0 ? "," : "") + options->tables[i].name;
+    }
+    size_t exported = 0;
+    const std::string json =
+        obs::FlightRecorder::Global()->ToChromeTraceJson(label, &exported);
     std::FILE* f = std::fopen(options->trace_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "trace: cannot open %s\n",
@@ -900,10 +907,8 @@ int Run(int argc, char** argv) {
     }
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-    std::printf("trace written to %s (%llu events, %llu dropped)\n",
-                options->trace_path.c_str(),
-                static_cast<unsigned long long>(telemetry->tracer().recorded()),
-                static_cast<unsigned long long>(telemetry->tracer().dropped()));
+    std::printf("trace written to %s (%zu events)\n",
+                options->trace_path.c_str(), exported);
   }
   if (options->flight_dump) {
     if (options->flight_dump_path.empty()) {
