@@ -110,8 +110,6 @@ enum class LockRank : int {
   kTimeSeries = 160,       // obs::TimeSeries registry (holds ring locks)
   kSpanProfiler = 200,     // obs::SpanProfiler span table
   kResourceLog = 210,      // obs::ResourceLog sample ring
-  kResourceSampler = 220,  // obs::ResourceSampler thread state
-  kProgressReporter = 230, // obs::ProgressReporter thread state
   kProgressTracker = 240,  // obs::ProgressTracker chunk bitmaps
   kSketches = 260,         // db::TableSketches per-chunk zone maps
   kWorkloadHistory = 280,  // obs::WorkloadHistory table stats

@@ -1,7 +1,6 @@
 #include "obs/progress.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 namespace scanraw {
@@ -83,51 +82,6 @@ QueryProgress ProgressTracker::Snapshot() {
     p.eta_seconds = 0;
   }
   return p;
-}
-
-ProgressReporter::ProgressReporter(ProgressTracker* tracker,
-                                   ProgressCallback callback, int interval_ms)
-    : tracker_(tracker),
-      callback_(std::move(callback)),
-      interval_ms_(interval_ms) {}
-
-ProgressReporter::~ProgressReporter() { Stop(); }
-
-void ProgressReporter::Start() {
-  MutexLock lock(mu_);
-  if (started_) return;
-  started_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ProgressReporter::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!started_ || stop_) {
-      if (thread_.joinable()) thread_.join();
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  // Final report: the settled end state.
-  if (callback_) callback_(tracker_->Snapshot());
-}
-
-void ProgressReporter::Loop() {
-  if (callback_) callback_(tracker_->Snapshot());
-  while (true) {
-    {
-      MutexLock lock(mu_);
-      // Checked first: a Stop() that lands before this wait must not cost
-      // a whole interval.
-      if (!stop_) cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
-      if (stop_) return;
-    }
-    if (callback_) callback_(tracker_->Snapshot());
-  }
 }
 
 }  // namespace obs

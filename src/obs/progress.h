@@ -1,9 +1,10 @@
 // Live query progress: a thread-safe tracker of bytes/chunks processed with
-// a rolling-window throughput estimate and ETA, plus a reporter thread that
-// invokes a callback on a fixed interval so the CLI can print a progress
-// line and benches can log phase timings without polling the pipeline
-// themselves. The tracker is clock-injected, so the window arithmetic is
-// unit-testable against a VirtualClock.
+// a rolling-window throughput estimate and ETA. Each query with a progress
+// callback runs a reporter (a PeriodicThread, obs/periodic_thread.h) that
+// hands the callback a Snapshot on a fixed interval, so the CLI can print a
+// progress line and benches can log phase timings without polling the
+// pipeline themselves. The tracker is clock-injected, so the window
+// arithmetic is unit-testable against a VirtualClock.
 #ifndef SCANRAW_OBS_PROGRESS_H_
 #define SCANRAW_OBS_PROGRESS_H_
 
@@ -12,7 +13,6 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
@@ -65,7 +65,6 @@ class ProgressTracker {
   // after a successful drain, before the reporter's final callback, so the
   // last progress line always reads 100% even when totals were estimates.
   void MarkComplete() { complete_.store(true, std::memory_order_release); }
-  bool complete() const { return complete_.load(std::memory_order_acquire); }
 
   // Appends a (now, bytes) observation to the rolling window and returns
   // the current estimate. The window keeps ~kWindowSamples recent samples,
@@ -91,36 +90,6 @@ class ProgressTracker {
 };
 
 using ProgressCallback = std::function<void(const QueryProgress&)>;
-
-// Invokes `callback(tracker->Snapshot())` every `interval_ms` on a
-// dedicated thread, plus once on Start and once on Stop so even
-// sub-interval queries emit a first and a final report.
-class ProgressReporter {
- public:
-  ProgressReporter(ProgressTracker* tracker, ProgressCallback callback,
-                   int interval_ms);
-  ~ProgressReporter();
-  ProgressReporter(const ProgressReporter&) = delete;
-  ProgressReporter& operator=(const ProgressReporter&) = delete;
-
-  void Start() EXCLUDES(mu_);
-  // Joins the thread and emits the final report. Idempotent; the destructor
-  // calls it.
-  void Stop() EXCLUDES(mu_);
-
- private:
-  void Loop() EXCLUDES(mu_);
-
-  ProgressTracker* const tracker_;
-  const ProgressCallback callback_;
-  const int interval_ms_;
-  Mutex mu_{LockRank::kProgressReporter, "ProgressReporter.mu"};
-  CondVar cv_;
-  // Started under mu_ in Start, joined lock-free in Stop after stop_ flips.
-  std::thread thread_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool started_ GUARDED_BY(mu_) = false;
-};
 
 }  // namespace obs
 }  // namespace scanraw

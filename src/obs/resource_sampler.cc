@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace scanraw {
 namespace obs {
 
@@ -94,62 +92,6 @@ std::string ResourceLog::ToJson() const {
   }
   out += "]";
   return out;
-}
-
-ResourceSampler::ResourceSampler(ResourceLog* log, Probe probe,
-                                 std::chrono::milliseconds interval)
-    : log_(log), probe_(std::move(probe)), interval_(interval) {}
-
-ResourceSampler::~ResourceSampler() { Stop(); }
-
-void ResourceSampler::Start() {
-  {
-    MutexLock lock(mu_);
-    if (started_) return;
-    started_ = true;
-    stop_ = false;
-  }
-  log_->Append(probe_());
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ResourceSampler::Stop() {
-  // The final probe is emitted exactly once per sampler lifetime — even
-  // when the interval never elapsed, and even when Start was never called
-  // (a query can finish before its sampler is started). Short queries thus
-  // always leave at least one sample.
-  bool emit_final = false;
-  {
-    MutexLock lock(mu_);
-    if (!final_emitted_) {
-      final_emitted_ = true;
-      emit_final = true;
-    }
-    if (started_ && !stop_) {
-      stop_ = true;
-      cv_.NotifyAll();
-    }
-  }
-  if (thread_.joinable()) thread_.join();
-  if (emit_final) log_->Append(probe_());
-}
-
-bool ResourceSampler::running() const {
-  MutexLock lock(mu_);
-  return started_ && !stop_;
-}
-
-void ResourceSampler::Loop() {
-  while (true) {
-    {
-      MutexLock lock(mu_);
-      // Checked first: a Stop() that lands before this wait must not cost
-      // a whole interval.
-      if (!stop_) cv_.WaitFor(lock, interval_);
-      if (stop_) return;
-    }
-    log_->Append(probe_());
-  }
 }
 
 }  // namespace obs

@@ -1,18 +1,15 @@
-// Resource-advice sampling (§3.3): a background thread periodically probes
-// the live pipeline (buffer occupancy, busy workers, cache fill, disk
-// arbiter busy time) and appends a time-series sample including the
-// scheduler's resource Advice state (kNeedMoreCpu / kIoBound /
-// kEngineBound). The series makes speculative-trigger decisions auditable
-// after the fact and feeds the CLI's --metrics=json export.
+// Resource-advice sampling (§3.3): each query's sampler (a PeriodicThread,
+// obs/periodic_thread.h) probes the live pipeline (buffer occupancy, busy
+// workers, cache fill, disk arbiter busy time) and appends a time-series
+// sample including the scheduler's resource Advice state (kNeedMoreCpu /
+// kIoBound / kEngineBound). The series makes speculative-trigger decisions
+// auditable after the fact and feeds the CLI's --metrics=json export.
 #ifndef SCANRAW_OBS_RESOURCE_SAMPLER_H_
 #define SCANRAW_OBS_RESOURCE_SAMPLER_H_
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -78,44 +75,6 @@ class ResourceLog {
   mutable Mutex mu_{LockRank::kResourceLog, "ResourceLog.mu"};
   std::vector<ResourceSample> ring_ GUARDED_BY(mu_);
   uint64_t next_ GUARDED_BY(mu_) = 0;
-};
-
-// Periodically invokes `probe` on a dedicated thread and appends the result
-// to `log`. Takes one sample immediately on Start and a final one on Stop,
-// so even sub-interval queries leave a visible series.
-class ResourceSampler {
- public:
-  using Probe = std::function<ResourceSample()>;
-
-  ResourceSampler(ResourceLog* log, Probe probe,
-                  std::chrono::milliseconds interval);
-  ~ResourceSampler();
-  ResourceSampler(const ResourceSampler&) = delete;
-  ResourceSampler& operator=(const ResourceSampler&) = delete;
-
-  void Start() EXCLUDES(mu_);
-  // Joins the thread and records the final sample. The final sample is
-  // emitted exactly once per sampler, even when Start was never called or
-  // the sampling interval never elapsed. Idempotent; the destructor calls
-  // it. The probe must stay valid until Stop returns.
-  void Stop() EXCLUDES(mu_);
-
-  bool running() const EXCLUDES(mu_);
-
- private:
-  void Loop() EXCLUDES(mu_);
-
-  ResourceLog* const log_;
-  const Probe probe_;
-  const std::chrono::milliseconds interval_;
-
-  mutable Mutex mu_{LockRank::kResourceSampler, "ResourceSampler.mu"};
-  CondVar cv_;
-  // Started under mu_ in Start, joined lock-free in Stop after stop_ flips.
-  std::thread thread_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool started_ GUARDED_BY(mu_) = false;
-  bool final_emitted_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace obs

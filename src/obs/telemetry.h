@@ -17,20 +17,8 @@
 namespace scanraw {
 namespace obs {
 
-struct TelemetryOptions {
-  // Bound on the resource time-series.
-  size_t resource_log_capacity = 4096;
-  // Points retained per metric time-series ring (see obs/timeseries.h).
-  size_t timeseries_ring_capacity = 512;
-};
-
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryOptions options = TelemetryOptions())
-      : resources_(options.resource_log_capacity),
-        timeseries_(TimeSeriesOptions{options.timeseries_ring_capacity,
-                                      TimeSeriesOptions().interval_nanos}) {}
-
   MetricsRegistry& metrics() { return metrics_; }
   ResourceLog& resources() { return resources_; }
   TimeSeries& timeseries() { return timeseries_; }

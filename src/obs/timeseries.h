@@ -2,11 +2,11 @@
 // value) rings snapshotting selected counters / gauges / histogram
 // quantiles at a configurable cadence, so /metrics and the CLI can report
 // *rates* (rows/s, bytes/s, cache hit rate over the last N seconds)
-// instead of lifetime totals. Sampling piggybacks on whatever periodic
-// thread already exists (the ResourceSampler probe, the watchdog tick, a
-// stats-server scrape): MaybeSample is cheap, idempotent within an
-// interval, and safe to call from several threads — exactly one caller
-// wins each slot.
+// instead of lifetime totals. There is no sampler thread of its own:
+// MaybeSample runs on the resource sampler's tick, the manager's watchdog
+// tick and every stats-server scrape (the CLI's rates printer calls
+// SampleNow). It is cheap, idempotent within an interval, and safe to call
+// from several threads — exactly one caller wins each slot.
 #ifndef SCANRAW_OBS_TIMESERIES_H_
 #define SCANRAW_OBS_TIMESERIES_H_
 

@@ -1,6 +1,5 @@
 #include "obs/watchdog.h"
 
-#include <chrono>
 #include <cstdlib>
 
 #include "common/lock_debug.h"
@@ -15,47 +14,7 @@ constexpr size_t kMaxRetainedReports = 64;
 }  // namespace
 
 Watchdog::Watchdog(StageHeartbeats* heartbeats, WatchdogOptions options)
-    : heartbeats_(heartbeats),
-      options_(std::move(options)),
-      check_interval_ms_(options_.check_interval_ms > 0
-                             ? options_.check_interval_ms
-                             : (options_.window_ms > 4 ? options_.window_ms / 4
-                                                       : 1)) {}
-
-Watchdog::~Watchdog() { Stop(); }
-
-void Watchdog::Start() {
-  MutexLock lock(mu_);
-  if (running_) return;
-  running_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Watchdog::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  thread_.join();
-  MutexLock lock(mu_);
-  running_ = false;
-}
-
-void Watchdog::Loop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (!stop_) {
-        cv_.WaitFor(lock, std::chrono::milliseconds(check_interval_ms_));
-      }
-      if (stop_) return;
-    }
-    CheckNow();
-  }
-}
+    : heartbeats_(heartbeats), options_(std::move(options)) {}
 
 void Watchdog::CheckNow() {
   const int64_t now = options_.clock->NowNanos();

@@ -1,5 +1,6 @@
-// Stall watchdog: turns silent hangs into diagnosable events. A background
-// thread samples the StageHeartbeats board every check interval; a stage
+// Stall watchdog: turns silent hangs into diagnosable events. CheckNow()
+// samples the StageHeartbeats board; its owner runs it every
+// check_interval_ms() (the ScanRawManager's PeriodicThread tick). A stage
 // that has threads inside it (active > 0) whose beat counter stops moving
 // for a whole window is declared stalled — the watchdog logs a structured
 // report, dumps the flight recorder (so the post-mortem shows what every
@@ -9,10 +10,10 @@
 #ifndef SCANRAW_OBS_WATCHDOG_H_
 #define SCANRAW_OBS_WATCHDOG_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -25,9 +26,6 @@ namespace obs {
 struct WatchdogOptions {
   // No-progress window before a stage is declared stalled.
   int64_t window_ms = 5000;
-  // Heartbeat sampling cadence; 0 = window / 4 (alarm latency stays well
-  // under 2x the window even when the stall starts right after a check).
-  int64_t check_interval_ms = 0;
   // Crash-style abort after reporting. Off by default: a resident server
   // wants the report and the dump, not a restart loop.
   bool abort_on_stall = false;
@@ -53,15 +51,11 @@ class Watchdog {
   };
 
   Watchdog(StageHeartbeats* heartbeats, WatchdogOptions options);
-  ~Watchdog();
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void Start() EXCLUDES(mu_);
-  void Stop() EXCLUDES(mu_);  // idempotent; the destructor calls it
-
-  // One sampling pass, callable directly (tests drive it with a
-  // VirtualClock; the background thread calls it every check interval).
+  // One sampling pass (tests drive it with a VirtualClock; the owner's
+  // periodic tick calls it every check_interval_ms()).
   void CheckNow() EXCLUDES(mu_);
 
   uint64_t stalls_detected() const {
@@ -70,22 +64,21 @@ class Watchdog {
   std::vector<StallReport> Reports() const EXCLUDES(mu_);
 
   int64_t window_ms() const { return options_.window_ms; }
+  // Heartbeat sampling cadence: a quarter window, so alarm latency stays
+  // well under 2x the window even when the stall starts right after a check.
+  int64_t check_interval_ms() const {
+    return std::max<int64_t>(1, options_.window_ms / 4);
+  }
 
  private:
-  void Loop() EXCLUDES(mu_);
   void ReportStall(const StallReport& report) REQUIRES(mu_);
 
   StageHeartbeats* const heartbeats_;
   const WatchdogOptions options_;
-  const int64_t check_interval_ms_;
 
   std::atomic<uint64_t> stalls_{0};
 
   mutable Mutex mu_{LockRank::kWatchdog, "Watchdog.mu"};
-  CondVar cv_;
-  std::thread thread_;
-  bool running_ GUARDED_BY(mu_) = false;
-  bool stop_ GUARDED_BY(mu_) = false;
 
   struct StageState {
     uint64_t last_beats = 0;

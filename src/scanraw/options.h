@@ -160,8 +160,9 @@ struct ScanRawOptions {
   int resource_sample_interval_ms = 0;
 
   // Cadence of the telemetry time-series rings feeding the /metrics rate
-  // gauges (rows/s, bytes/s, cache hit rate). Sampling piggybacks on
-  // existing periodic threads (resource sampler, watchdog, stats scrapes) —
+  // gauges (rows/s, bytes/s, cache hit rate). The rings are sampled on the
+  // ticks of the resource sampler, the manager's watchdog
+  // (Config::watchdog_ms) and stats scrapes, at most once per interval —
   // there is no dedicated sampler thread. 0 leaves the telemetry sink's
   // default (1 s); negative disables sampling. Requires `telemetry`.
   int timeseries_interval_ms = 0;

@@ -9,6 +9,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/load_advisor.h"
+#include "obs/periodic_thread.h"
 #include "obs/query_log.h"
 #include "columnar/chunk_sort.h"
 #include "db/statistics.h"
@@ -204,10 +205,12 @@ struct ScanRaw::QueryRun::Impl {
                        registry.GetGauge("scanraw.pool.queue_depth"),
                        registry.GetCounter("scanraw.pool.tasks_submitted"));
       if (parent->options_.resource_sample_interval_ms > 0) {
-        sampler = std::make_unique<obs::ResourceSampler>(
-            &telemetry->resources(), [this] { return ProbeResources(); },
+        sampler.emplace(
             std::chrono::milliseconds(
-                parent->options_.resource_sample_interval_ms));
+                parent->options_.resource_sample_interval_ms),
+            [this, telemetry] {
+              telemetry->resources().Append(ProbeResources());
+            });
       }
     }
     // Progress totals are known only once the layout is (discovery scans
@@ -228,9 +231,10 @@ struct ScanRaw::QueryRun::Impl {
       progress.set_totals(total_bytes, total_chunks);
     }
     if (parent->options_.progress_callback) {
-      reporter = std::make_unique<obs::ProgressReporter>(
-          &progress, parent->options_.progress_callback,
-          std::max(1, parent->options_.progress_interval_ms));
+      reporter.emplace(
+          std::chrono::milliseconds(
+              std::max(1, parent->options_.progress_interval_ms)),
+          [this] { parent->options_.progress_callback(progress.Snapshot()); });
     }
   }
 
@@ -240,8 +244,8 @@ struct ScanRaw::QueryRun::Impl {
     read_thread = std::thread([this] { ReadLoop(); });
     tokenize_thread = std::thread([this] { TokenizeLoop(); });
     parse_thread = std::thread([this] { ParseLoop(); });
-    if (sampler != nullptr) sampler->Start();
-    if (reporter != nullptr) reporter->Start();
+    if (sampler.has_value()) sampler->Start();
+    if (reporter.has_value()) reporter->Start();
   }
 
   // Point-in-time utilization of the live pipeline (§3.3).
@@ -778,8 +782,8 @@ struct ScanRaw::QueryRun::Impl {
     if (!abandoned && GetStatus().ok()) progress.MarkComplete();
     // Stop after the pipeline drains so the final sample reflects the
     // settled end state.
-    if (sampler != nullptr) sampler->Stop();
-    if (reporter != nullptr) reporter->Stop();
+    if (sampler.has_value()) sampler->Stop();
+    if (reporter.has_value()) reporter->Stop();
   }
 
   void Abandon() {
@@ -809,7 +813,8 @@ struct ScanRaw::QueryRun::Impl {
   std::thread read_thread;
   std::thread tokenize_thread;
   std::thread parse_thread;
-  std::unique_ptr<obs::ResourceSampler> sampler;
+  // The §3.3 resource sampler: one ResourceLog sample per tick.
+  std::optional<obs::PeriodicThread> sampler;
   // Query-scoped observability: every stage records spans here, and the
   // progress tracker feeds the optional reporter thread.
   obs::SpanProfiler profiler;
@@ -819,7 +824,8 @@ struct ScanRaw::QueryRun::Impl {
                               .heartbeats = parent->heartbeats_,
                               .flight = true};
   obs::ProgressTracker progress;
-  std::unique_ptr<obs::ProgressReporter> reporter;
+  // Hands the progress callback a snapshot per tick.
+  std::optional<obs::PeriodicThread> reporter;
   bool joined = false;
   bool abandoned = false;
 
@@ -1002,7 +1008,6 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
                            options_.policy == LoadPolicy::kSpeculativeLoading;
       AppendToQueryLog(options_.query_log, std::move(event));
     }
-    obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
   };
 
   obs::FlightRecord(obs::FlightEvent::kQueryBegin,
@@ -1013,29 +1018,16 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   auto run = StartQuery(spec.RequiredColumns(), skip_filter);
   if (!run.ok()) {
     log_failure(run.status());
+    obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
     return run.status();
   }
   obs::SpanProfiler& profiler = (*run)->impl_->profiler;
   auto result = RunQuery(spec, run->get(), &profiler);
-  (*run)->Finish();
-  Status s = (*run)->status();
+  const Status s = FinishQuery(run->get(), result.status(), base,
+                               result.ok() ? result->rows_matched : 0);
   if (!s.ok()) {
     log_failure(s);
     return s;
-  }
-  if (!result.ok()) {
-    log_failure(result.status());
-    return result.status();
-  }
-  if (options_.policy == LoadPolicy::kFullLoad ||
-      options_.policy == LoadPolicy::kInvisibleLoading) {
-    // Synchronous-loading regimes: loading is part of the query.
-    WaitForWrites();
-    Status ws = write_status();
-    if (!ws.ok()) {
-      log_failure(ws);
-      return ws;
-    }
   }
 
   // The report is filled for an explicit EXPLAIN, and also locally when a
@@ -1122,6 +1114,25 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
       AppendToQueryLog(options_.query_log, std::move(event));
     }
   }
+  return result;
+}
+
+Status ScanRaw::FinishQuery(QueryRun* run, const Status& engine_status,
+                            const PipelineProfile::Counts& base,
+                            uint64_t rows_matched) {
+  // An engine that quit early would leave the producers blocked on a full
+  // output queue; closing the pipeline with its error lets the join finish.
+  if (!engine_status.ok() && run->status().ok()) {
+    run->impl_->ReportError(engine_status);
+  }
+  run->Finish();
+  Status s = run->status();
+  if (s.ok() && (options_.policy == LoadPolicy::kFullLoad ||
+                 options_.policy == LoadPolicy::kInvisibleLoading)) {
+    // Synchronous-loading regimes: loading is part of the query.
+    WaitForWrites();
+    s = write_status();
+  }
   // After-cold-scan persistence hook: a query that tokenized raw bytes
   // just built (or widened) positional maps; save them now so a crash or
   // restart before the next catalog save still finds a warm index. A scan
@@ -1129,7 +1140,7 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
   // sidecar on disk already covers it, and rewriting would put two fsyncs
   // on the warm-restart fast path. The sidecar is advisory — a failed
   // save never fails the query.
-  if (options_.persist_positional_maps &&
+  if (s.ok() && options_.persist_positional_maps &&
       !options_.posmap_sidecar_path.empty() &&
       profile_.Get(ProfileCounter::kBytesTokenized) >
           base[ProfileCounter::kBytesTokenized]) {
@@ -1139,9 +1150,9 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
                saved.ToString().c_str());
     }
   }
-  obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/0,
-                    result->rows_matched);
-  return result;
+  obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/s.ok() ? 0 : 1,
+                    s.ok() ? rows_matched : 0);
+  return s;
 }
 
 Result<std::vector<QueryResult>> ScanRaw::ExecuteQueries(
@@ -1168,33 +1179,58 @@ Result<std::vector<QueryResult>> ScanRaw::ExecuteQueries(
     }
   }
 
+  // One query-log event per spec, as if each had run alone (no report: the
+  // shared pass's stage and provenance numbers belong to no one query).
+  auto log = [&](const std::vector<QueryResult>* results,
+                 const Status& status) {
+    if (options_.query_log == nullptr) return;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      AppendToQueryLog(
+          options_.query_log,
+          MakeQueryLogEvent(table_, LoadPolicyName(options_.policy), specs[i],
+                            nullptr,
+                            results != nullptr ? &(*results)[i] : nullptr,
+                            status));
+    }
+  };
+
+  obs::FlightRecord(obs::FlightEvent::kQueryBegin, column_union.size(),
+                    static_cast<uint64_t>(options_.policy));
+  const PipelineProfile::Counts base = profile_.Snapshot();
   auto run = StartQuery(
       std::vector<size_t>(column_union.begin(), column_union.end()),
       shared_filter);
-  if (!run.ok()) return run.status();
+  if (!run.ok()) {
+    log(nullptr, run.status());
+    obs::FlightRecord(obs::FlightEvent::kQueryEnd, /*a=*/1, /*b=*/0);
+    return run.status();
+  }
   std::vector<QueryExecutor> executors;
   executors.reserve(specs.size());
   for (const QuerySpec& spec : specs) executors.emplace_back(spec);
-  while (true) {
+  Status consumed;
+  while (consumed.ok()) {
     auto next = (*run)->Next();
-    if (!next.ok()) return next.status();
+    if (!next.ok()) {
+      consumed = next.status();
+      break;
+    }
     if (!next->has_value()) break;
     for (QueryExecutor& executor : executors) {
-      SCANRAW_RETURN_IF_ERROR(executor.Consume(***next));
+      consumed = executor.Consume(***next);
+      if (!consumed.ok()) break;
     }
-  }
-  (*run)->Finish();
-  SCANRAW_RETURN_IF_ERROR((*run)->status());
-  if (options_.policy == LoadPolicy::kFullLoad ||
-      options_.policy == LoadPolicy::kInvisibleLoading) {
-    WaitForWrites();
-    SCANRAW_RETURN_IF_ERROR(write_status());
   }
   std::vector<QueryResult> results;
   results.reserve(executors.size());
+  uint64_t rows_matched = 0;
   for (QueryExecutor& executor : executors) {
     results.push_back(executor.Finish());
+    rows_matched += results.back().rows_matched;
   }
+  const Status s = FinishQuery(run->get(), consumed, base, rows_matched);
+  log(s.ok() ? &results : nullptr, s);
+  if (!s.ok()) return s;
   return results;
 }
 

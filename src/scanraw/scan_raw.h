@@ -280,6 +280,16 @@ class ScanRaw : private obs::SpanSink {
   bool FullyLoaded() const;
 
  private:
+  // The tail ExecuteQuery and ExecuteQueries share once the engine stopped
+  // consuming `run` with `engine_status`: stop the pipeline if the engine
+  // failed, join it, surface the first error, drain the WRITE queue under
+  // the synchronous-loading policies, save the positional maps a cold scan
+  // just built, and record the query-end flight event. `base` is the
+  // profile snapshot taken before the run started.
+  Status FinishQuery(QueryRun* run, const Status& engine_status,
+                     const PipelineProfile::Counts& base,
+                     uint64_t rows_matched);
+
   struct WriteRequest {
     uint64_t chunk_index = 0;
     BinaryChunkPtr chunk;

@@ -1,5 +1,8 @@
 #include "scanraw/scanraw_manager.h"
 
+#include <chrono>
+
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "io/fault_injection.h"
 #include "io/file.h"
@@ -66,7 +69,14 @@ Result<std::unique_ptr<ScanRawManager>> ScanRawManager::Create(
     wd.flight_dump_path = config.watchdog_dump_path;
     manager->watchdog_ = std::make_unique<obs::Watchdog>(
         &manager->telemetry_.heartbeats(), wd);
-    manager->watchdog_->Start();
+    ScanRawManager* m = manager.get();
+    manager->watchdog_thread_ = std::make_unique<obs::PeriodicThread>(
+        std::chrono::milliseconds(m->watchdog_->check_interval_ms()), [m] {
+          m->watchdog_->CheckNow();
+          m->telemetry_.timeseries().MaybeSample(
+              RealClock::Instance()->NowNanos());
+        });
+    manager->watchdog_thread_->Start();
   }
   return manager;
 }

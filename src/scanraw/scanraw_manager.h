@@ -20,6 +20,7 @@
 #include "exec/query.h"
 #include "io/disk_arbiter.h"
 #include "io/rate_limiter.h"
+#include "obs/periodic_thread.h"
 #include "obs/telemetry.h"
 #include "obs/watchdog.h"
 #include "scanraw/scan_raw.h"
@@ -63,7 +64,8 @@ class ScanRawManager {
     bool verify_segments_on_load = true;
     // Stall watchdog over the shared heartbeat board: a pipeline stage that
     // is active but makes no progress for this long produces a structured
-    // report and a flight-recorder dump. 0 disables the watchdog thread.
+    // report and a flight-recorder dump. The same periodic tick samples the
+    // telemetry rate rings. 0 disables the watchdog and its thread.
     int64_t watchdog_ms = 0;
     // Abort the process after reporting a stall (CI wants the core; a
     // resident server wants the report only).
@@ -152,9 +154,12 @@ class ScanRawManager {
   DiskArbiter arbiter_;
   IoStats io_stats_;
   std::unique_ptr<StorageManager> storage_;
-  // Owns the stall-detector thread; started at Create, stopped on destroy.
-  // Declared after telemetry_ (it watches telemetry_'s heartbeat board).
+  // The stall detector and the thread that ticks it (CheckNow, then a
+  // MaybeSample of telemetry_'s rate rings); started at Create, stopped on
+  // destroy. Declared after telemetry_, whose heartbeat board and rings the
+  // tick reads.
   std::unique_ptr<obs::Watchdog> watchdog_;
+  std::unique_ptr<obs::PeriodicThread> watchdog_thread_;
 
   mutable Mutex mu_{LockRank::kScanRawManager, "ScanRawManager.mu"};
   std::map<std::string, ScanRawOptions> options_ GUARDED_BY(mu_);

@@ -1,12 +1,10 @@
 // Tests for the obs/ building blocks in isolation: counters, gauges,
 // log-bucketed histograms (quantiles, reset, JSON), the flight recorder's
-// snapshot and Chrome trace export, the stage event and its sinks, the
-// resource log, and the sampler thread.
+// snapshot and Chrome trace export, the stage event and its sinks, and the
+// resource log.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -459,54 +457,6 @@ TEST(ResourceLogTest, JsonIsArrayWithAdvice) {
   EXPECT_NE(json.find("\"io-bound\""), std::string::npos);
 }
 
-TEST(ResourceSamplerTest, TakesStartAndStopSamples) {
-  ResourceLog log(64);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));  // interval longer than the test
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-  // One immediate sample on Start, one final on Stop.
-  EXPECT_GE(probes.load(), 2);
-  EXPECT_GE(log.size(), 2u);
-  sampler.Stop();  // idempotent
-}
-
-// Stop() right after Start() must not wait out the interval: the sampler
-// checks for a stop before it blocks, so the wake-up cannot be lost.
-TEST(ResourceSamplerTest, StopRightAfterStartReturnsPromptly) {
-  for (int round = 0; round < 3; ++round) {
-    ResourceLog log(16);
-    ResourceSampler sampler(
-        &log, [] { return ResourceSample(); }, std::chrono::seconds(5));
-    const auto start = std::chrono::steady_clock::now();
-    sampler.Start();
-    sampler.Stop();
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::seconds(1));
-    EXPECT_EQ(log.size(), 2u);  // the Start probe and the final one
-  }
-}
-
-TEST(ResourceSamplerTest, PeriodicSampling) {
-  ResourceLog log(1024);
-  ResourceSampler sampler(
-      &log, [] { return ResourceSample(); }, std::chrono::milliseconds(1));
-  sampler.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.Stop();
-  // 30ms at a 1ms period: demand well below the theoretical 30 to keep the
-  // test robust on loaded machines.
-  EXPECT_GE(log.size(), 5u);
-}
-
 TEST(TelemetryTest, CombinedJsonExport) {
   Telemetry telemetry;
   telemetry.metrics().GetCounter("a")->Add(1);
@@ -591,66 +541,6 @@ TEST(ProgressTrackerTest, MarkCompleteCoversUnknownTotals) {
   QueryProgress p = tracker.Snapshot();
   EXPECT_TRUE(p.complete);
   EXPECT_DOUBLE_EQ(p.fraction, 1.0);
-}
-
-TEST(ProgressReporterTest, FinalCallbackReportsCompletion) {
-  ProgressTracker tracker(/*bytes_total=*/100);
-  tracker.AddBytes(100);
-  Mutex mu;
-  std::vector<QueryProgress> reports;
-  ProgressReporter reporter(
-      &tracker,
-      [&](const QueryProgress& p) {
-        MutexLock lock(mu);
-        reports.push_back(p);
-      },
-      /*interval_ms=*/1000);
-  reporter.Start();
-  tracker.MarkComplete();  // what the pipeline does after a clean drain
-  reporter.Stop();
-  MutexLock lock(mu);
-  ASSERT_GE(reports.size(), 2u);  // one on Start, one final on Stop
-  EXPECT_TRUE(reports.back().complete);
-  EXPECT_DOUBLE_EQ(reports.back().fraction, 1.0);
-}
-
-TEST(ResourceSamplerTest, StopWithoutStartStillRecordsFinalProbe) {
-  ResourceLog log(16);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));
-  // A query can finish before its sampler is ever started; the series must
-  // still get its one settled-end-state sample.
-  sampler.Stop();
-  EXPECT_EQ(probes.load(), 1);
-  EXPECT_EQ(log.size(), 1u);
-  sampler.Stop();  // the final probe is exactly-once
-  EXPECT_EQ(probes.load(), 1);
-  EXPECT_EQ(log.size(), 1u);
-}
-
-TEST(ResourceSamplerTest, FinalProbeIsExactlyOnceAcrossStops) {
-  ResourceLog log(16);
-  std::atomic<int> probes{0};
-  ResourceSampler sampler(
-      &log,
-      [&probes] {
-        probes.fetch_add(1);
-        return ResourceSample();
-      },
-      std::chrono::milliseconds(1000));
-  sampler.Start();
-  sampler.Stop();
-  const int after_first_stop = probes.load();
-  EXPECT_EQ(after_first_stop, 2);  // start sample + final sample
-  sampler.Stop();
-  sampler.Stop();
-  EXPECT_EQ(probes.load(), after_first_stop);
 }
 
 TEST(CurrentThreadIdTest, DistinctPerThreadStableWithin) {

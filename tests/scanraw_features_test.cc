@@ -1,7 +1,8 @@
 // Tests for the extension features around the core operator: shared-scan
 // multi-query execution (§7 future work), the positional map cache (§2),
 // conversion-time sketches (§3.3), catalog persistence / restart recovery,
-// and write-failure isolation.
+// write-failure isolation, and the query log and posmap sidecar of shared
+// scans.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "datagen/csv_generator.h"
 #include "genomics/sam.h"
 #include "io/file.h"
+#include "obs/query_log.h"
 #include "scanraw/scan_raw.h"
 #include "scanraw/scanraw_manager.h"
 
@@ -126,6 +128,58 @@ TEST(MultiQueryTest, EmptyBatch) {
   auto batch = op.ExecuteQueries({});
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->empty());
+}
+
+// A shared scan logs one event per query, as if each had run alone.
+TEST(MultiQueryTest, SharedScanLogsEveryQuery) {
+  auto f = Fixture::Make("mq_log", BaseOptions());
+  const std::string log_path = TempPath("queries.jsonl");
+  ASSERT_TRUE(RemoveFileIfExists(log_path).ok());
+  auto log = obs::QueryLog::Open(log_path);
+  ASSERT_TRUE(log.ok());
+  ScanRawOptions options = BaseOptions();
+  options.query_log = log->get();
+  QuerySpec q1;
+  q1.sum_columns = {0};
+  QuerySpec q2;
+  q2.sum_columns = {1, 2};
+  ScanRaw op("t", f.manager->catalog(), f.manager->storage(),
+             f.manager->arbiter(), nullptr, options);
+  auto batch = op.ExecuteQueries({q1, q2});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+  auto events = obs::QueryLog::ReadAll(log_path);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 2u);
+  EXPECT_EQ((*events)[0].columns, (std::vector<size_t>{0}));
+  EXPECT_EQ((*events)[1].columns, (std::vector<size_t>{1, 2}));
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ((*events)[i].status, "ok");
+    EXPECT_EQ((*events)[i].policy, "speculative-loading");
+    EXPECT_EQ((*events)[i].rows_matched, (*batch)[i].rows_matched);
+  }
+}
+
+// A cold shared scan saves the positional maps it built, as a single
+// query's cold scan does.
+TEST(MultiQueryTest, ColdSharedScanWritesPosmapSidecar) {
+  auto f = Fixture::Make("mq_posmap", BaseOptions());
+  ScanRawOptions options = BaseOptions();
+  options.policy = LoadPolicy::kExternalTables;
+  options.cache_positional_maps = true;
+  options.persist_positional_maps = true;
+  options.posmap_sidecar_path = TempPath("t.posmap");
+  ASSERT_TRUE(RemoveFileIfExists(options.posmap_sidecar_path).ok());
+  QuerySpec q1;
+  q1.sum_columns = {0};
+  QuerySpec q2;
+  q2.sum_columns = {3};
+  ScanRaw op("t", f.manager->catalog(), f.manager->storage(),
+             f.manager->arbiter(), nullptr, options);
+  auto batch = op.ExecuteQueries({q1, q2});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ((*batch)[1].total_sum, f.info.column_sums[3]);
+  EXPECT_TRUE(FileExists(options.posmap_sidecar_path));
 }
 
 // ------------------------------------------------------ positional map cache

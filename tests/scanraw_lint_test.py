@@ -620,14 +620,16 @@ class LintTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
 
     def test_wait_under_if_inside_outer_loop_passes(self):
-        # The watchdog pattern: the predicate re-check sits one block out.
-        self.write("src/io/foo.cc",
+        # A periodic loop: the predicate re-check sits one block out. Laid
+        # out as the periodic-thread source, the one place timed-wait allows
+        # a WaitFor.
+        self.write("src/obs/periodic_thread.cc",
                    "void F() {\n  for (;;) {\n    {\n"
                    "      MutexLock lock(mu_);\n"
                    "      if (!stop_) {\n"
                    "        cv_.WaitFor(lock, interval);\n      }\n"
                    "      if (stop_) return;\n    }\n    Tick();\n  }\n}\n")
-        code, out = self.lint("src/io/foo.cc")
+        code, out = self.lint("src/obs/periodic_thread.cc")
         self.assertEqual(code, 0, out)
 
     def test_wait_for_writes_name_passes(self):
@@ -643,6 +645,73 @@ class LintTest(unittest.TestCase):
                    "  // scanraw-lint: allow(condvar-wait-loop)\n"
                    "  cv_.Wait(lock);\n}\n")
         code, out = self.lint("src/io/foo.cc")
+        self.assertEqual(code, 0, out)
+
+    # ---- timed-wait ----
+
+    TIMED_LOOP = ("void Loop() {\n  MutexLock lock(mu_);\n"
+                  "  while (!stop_) cv_.WaitFor(lock, interval_);\n}\n")
+
+    def test_timed_wait_caught(self):
+        self.write("src/obs/sampler.cc", self.TIMED_LOOP)
+        code, out = self.lint("src/obs/sampler.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[timed-wait]", out)
+        self.assertNotIn("[condvar-wait-loop]", out)
+
+    def test_timed_wait_through_pointer_caught(self):
+        self.write("src/obs/sampler.cc",
+                   "void Loop() {\n  MutexLock lock(mu_);\n"
+                   "  while (!stop_) cv->WaitFor(lock, interval_);\n}\n")
+        code, out = self.lint("src/obs/sampler.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[timed-wait]", out)
+
+    def test_timed_wait_exempt_in_periodic_thread(self):
+        self.write("src/obs/periodic_thread.cc", self.TIMED_LOOP)
+        code, out = self.lint("src/obs/periodic_thread.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_timed_wait_exempt_in_rate_limiter(self):
+        self.write("src/io/rate_limiter.cc", self.TIMED_LOOP)
+        code, out = self.lint("src/io/rate_limiter.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_untimed_wait_passes(self):
+        self.write("src/obs/sampler.cc",
+                   "void F() {\n  MutexLock lock(mu_);\n"
+                   "  while (!ready_) cv_.Wait(lock);\n"
+                   "  op->WaitForWrites();\n}\n")
+        code, out = self.lint("src/obs/sampler.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_timed_wait_wrapper_definition_passes(self):
+        # The wrapper's own `WaitFor(` definition is not a call site.
+        self.write("src/common/cv.h",
+                   "#ifndef SCANRAW_COMMON_CV_H_\n"
+                   "#define SCANRAW_COMMON_CV_H_\n"
+                   "std::cv_status WaitFor(MutexLock& lock, Dur dur);\n"
+                   "#endif  // SCANRAW_COMMON_CV_H_\n")
+        code, out = self.lint("src/common/cv.h")
+        self.assertEqual(code, 0, out)
+
+    def test_timed_wait_in_test_file_passes(self):
+        self.write("tests/sampler_test.cc", self.TIMED_LOOP)
+        code, out = self.lint("tests/sampler_test.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_timed_wait_in_comment_passes(self):
+        self.write("src/obs/sampler.cc",
+                   "// a hand-written loop would call cv_.WaitFor(lock, t)\n")
+        code, out = self.lint("src/obs/sampler.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_timed_wait_suppressed(self):
+        self.write("src/obs/sampler.cc",
+                   "void Loop() {\n  MutexLock lock(mu_);\n"
+                   "  // scanraw-lint: allow(timed-wait)\n"
+                   "  while (!stop_) cv_.WaitFor(lock, interval_);\n}\n")
+        code, out = self.lint("src/obs/sampler.cc")
         self.assertEqual(code, 0, out)
 
     def test_clean_tree_exits_zero(self):

@@ -12,12 +12,14 @@
 #include "io/file.h"
 #include "obs/heartbeat.h"
 #include "obs/log.h"
+#include "obs/periodic_thread.h"
 #include "obs/watchdog.h"
 #include "scanraw/scanraw_manager.h"
 
 namespace scanraw {
 namespace {
 
+using obs::PeriodicThread;
 using obs::Stage;
 using obs::StageHeartbeats;
 using obs::Watchdog;
@@ -154,15 +156,18 @@ TEST_F(WatchdogTest, BackgroundThreadAlarmsWithinTwiceTheWindow) {
   options.window_ms = 50;  // real clock; check interval defaults to 12 ms
   options.flight_dump_path = TestPath("dump.txt");
   Watchdog dog(&hb, options);
+  EXPECT_EQ(dog.check_interval_ms(), 12);
+  PeriodicThread ticker(std::chrono::milliseconds(dog.check_interval_ms()),
+                        [&dog] { dog.CheckNow(); });
   hb.Enter(Stage::kRead);
-  dog.Start();
+  ticker.Start();
   const int64_t deadline =
       RealClock::Instance()->NowNanos() + 2 * 50 * kMsNanos + 50 * kMsNanos;
   while (dog.stalls_detected() == 0 &&
          RealClock::Instance()->NowNanos() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  dog.Stop();
+  ticker.Stop();
   EXPECT_GE(dog.stalls_detected(), 1u);
   hb.Leave(Stage::kRead);
 }
@@ -269,6 +274,37 @@ TEST_F(WatchdogScanTest, HealthyScanRaisesNoFalsePositive) {
   }
   ASSERT_NE((*manager)->watchdog(), nullptr);
   EXPECT_EQ((*manager)->watchdog()->stalls_detected(), 0u);
+}
+
+// The manager's watchdog tick also samples the telemetry rate rings, so a
+// /metrics scraper that polls less often than the rate window still finds
+// two points in it: no scrape and no resource sampler run here.
+TEST_F(WatchdogScanTest, WatchdogTickSamplesRateRings) {
+  ScanRawManager::Config config;
+  config.db_path = csv_path_ + ".db";
+  config.watchdog_ms = 40;  // check interval 10 ms
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ScanRawOptions options;
+  options.policy = LoadPolicy::kSpeculativeLoading;
+  options.num_workers = 2;
+  options.chunk_rows = 250;
+  options.timeseries_interval_ms = 1;
+  ASSERT_EQ(options.resource_sample_interval_ms, 0);
+  ASSERT_TRUE(
+      (*manager)->RegisterRawFile("t", csv_path_, schema_, options).ok());
+  auto result = (*manager)->Query("t", SumAllQuery());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, info_.total_sum);
+
+  const obs::TimeSeriesRing* ring =
+      (*manager)->telemetry()->timeseries().Find("scanraw.rows_delivered");
+  ASSERT_NE(ring, nullptr);
+  const int64_t deadline = RealClock::Instance()->NowNanos() + 2'000 * kMsNanos;
+  while (ring->size() < 2 && RealClock::Instance()->NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(ring->size(), 2u);
 }
 
 }  // namespace

@@ -101,7 +101,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -116,6 +115,7 @@
 #include "obs/load_advisor.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/periodic_thread.h"
 #include "obs/stats_server.h"
 #include "obs/progress.h"
 #include "obs/query_log.h"
@@ -443,63 +443,25 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
   return options;
 }
 
-// --metrics-interval-ms: a printer thread sampling the telemetry rate rings
-// and emitting one delta-aware throughput line (rows/s, bytes/s, cache hit
-// rate over the trailing window) per interval while statements run.
-class MetricsPrinter {
- public:
-  MetricsPrinter(obs::Telemetry* telemetry, int interval_ms)
-      : telemetry_(telemetry), interval_ms_(interval_ms) {
-    thread_ = std::thread([this] { Loop(); });
+// --metrics-interval-ms tick: samples the telemetry rate rings and prints
+// one delta-aware throughput line (rows/s, bytes/s, cache hit rate over the
+// trailing `window_nanos`) to stderr.
+void PrintRates(obs::Telemetry* telemetry, int64_t window_nanos) {
+  telemetry->timeseries().SampleNow(RealClock::Instance()->NowNanos());
+  std::string line = "rates:";
+  for (const obs::TimeSeries::RateRow& row :
+       telemetry->timeseries().Rates(window_nanos)) {
+    if (row.kind != obs::TimeSeries::Kind::kCounter) continue;
+    line += StringPrintf(" %s=%.1f/s", row.name.c_str(),
+                         row.rate_defined ? row.rate_per_sec : 0.0);
   }
-  ~MetricsPrinter() {
-    {
-      MutexLock lock(mu_);
-      stop_ = true;
-      cv_.NotifyAll();
-    }
-    if (thread_.joinable()) thread_.join();
+  double hit_rate = 0.0;
+  if (telemetry->timeseries().CacheHitRate(window_nanos, &hit_rate)) {
+    line += StringPrintf(" cache_hit_rate=%.2f", hit_rate);
   }
-  MetricsPrinter(const MetricsPrinter&) = delete;
-  MetricsPrinter& operator=(const MetricsPrinter&) = delete;
-
- private:
-  void Loop() {
-    // The window spans a few intervals so one slow sample does not zero the
-    // rates; deltas are computed inside the rings, not against a baseline.
-    const int64_t window_nanos =
-        static_cast<int64_t>(interval_ms_) * 4 * 1'000'000;
-    while (true) {
-      {
-        MutexLock lock(mu_);
-        if (stop_) return;
-        cv_.WaitFor(lock, std::chrono::milliseconds(interval_ms_));
-        if (stop_) return;
-      }
-      telemetry_->timeseries().SampleNow(RealClock::Instance()->NowNanos());
-      std::string line = "rates:";
-      for (const obs::TimeSeries::RateRow& row :
-           telemetry_->timeseries().Rates(window_nanos)) {
-        if (row.kind != obs::TimeSeries::Kind::kCounter) continue;
-        line += StringPrintf(" %s=%.1f/s", row.name.c_str(),
-                             row.rate_defined ? row.rate_per_sec : 0.0);
-      }
-      double hit_rate = 0.0;
-      if (telemetry_->timeseries().CacheHitRate(window_nanos, &hit_rate)) {
-        line += StringPrintf(" cache_hit_rate=%.2f", hit_rate);
-      }
-      // stderr, like the progress line, so stdout stays query results only.
-      std::fprintf(stderr, "%s\n", line.c_str());
-    }
-  }
-
-  obs::Telemetry* const telemetry_;
-  const int interval_ms_;
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
+  // stderr, like the progress line, so stdout stays query results only.
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
 
 void PrintResult(const QueryResult& result, double seconds, bool has_avg) {
   if (!result.groups.empty()) {
@@ -773,10 +735,19 @@ int Run(int argc, char** argv) {
                 stats_server->port());
     std::fflush(stdout);
   }
-  std::unique_ptr<MetricsPrinter> metrics_printer;
+  // One rates line at start, one per interval while statements run, and a
+  // final one when the printer stops at exit.
+  std::optional<obs::PeriodicThread> rates_printer;
   if (options->metrics_interval_ms > 0) {
-    metrics_printer = std::make_unique<MetricsPrinter>(
-        (*manager)->telemetry(), options->metrics_interval_ms);
+    obs::Telemetry* telemetry = (*manager)->telemetry();
+    // The window spans a few intervals so one slow sample does not zero the
+    // rates; deltas are computed inside the rings, not against a baseline.
+    const int64_t window_nanos =
+        static_cast<int64_t>(options->metrics_interval_ms) * 4 * 1'000'000;
+    rates_printer.emplace(
+        std::chrono::milliseconds(options->metrics_interval_ms),
+        [telemetry, window_nanos] { PrintRates(telemetry, window_nanos); });
+    rates_printer->Start();
   }
 
   auto execute = [&](const std::string& sql) -> bool {
@@ -843,6 +814,8 @@ int Run(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
+  // The final rates line covers the statements, not the shutdown below.
+  if (rates_printer.has_value()) rates_printer->Stop();
 
   if (!options->catalog_path.empty()) {
     Status s = (*manager)->SaveCatalog(options->catalog_path);

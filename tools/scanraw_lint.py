@@ -12,8 +12,9 @@ unchecked-value  `.value()` on a Result/optional without a preceding `ok()`
                  (or has_value()) check in the same function scope. Prefer
                  SCANRAW_ASSIGN_OR_RETURN or an explicit ok() branch.
 sleep-in-src     std::this_thread::sleep_for / sleep_until in src/ non-test
-                 code. Time-based waits belong on a CondVar::WaitFor so
-                 shutdown can interrupt them and TSan can see the ordering.
+                 code. Periodic work belongs on an obs::PeriodicThread tick,
+                 whose Stop() interrupts the wait and whose ordering TSan
+                 can see.
 include-guard    Headers must carry the canonical SCANRAW_<PATH>_H_ include
                  guard (#ifndef/#define pair plus a commented #endif);
                  #pragma once is banned for consistency.
@@ -51,6 +52,12 @@ condvar-wait-loop
                  variables wake spuriously, and an `if` turns a spurious
                  wakeup into a missed-predicate bug that only TSan-sized
                  schedules expose.
+timed-wait       CondVar WaitFor calls in src/ non-test code outside
+                 obs/periodic_thread.cc and io/rate_limiter.cc. A timed wait
+                 is a hand-written periodic loop (thread, stop flag, lost
+                 wake-up fix); the one such loop is obs::PeriodicThread, so
+                 new periodic work is a tick on it. The rate limiter's wait
+                 is a token-bucket refill deadline, not a period.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -129,6 +136,11 @@ MUTEX_MEMBER_DECL_RE = re.compile(r"\b(?:mutable\s+)?Mutex\s+\w+\s*[;{]")
 WAIT_CALL_RE = re.compile(r"\b\w+\s*(?:\.|->)\s*Wait(?:For)?\s*\(")
 LOOP_KEYWORD_RE = re.compile(r"\b(while|for|do)\b")
 
+# timed-wait: the periodic-thread primitive and the rate limiter's refill
+# wait are the only timed CondVar waits in src/.
+TIMED_WAIT_EXEMPT = ("obs/periodic_thread.cc", "io/rate_limiter.cc")
+TIMED_WAIT_RE = re.compile(r"(?:\.|->)\s*WaitFor\s*\(")
+
 # byte-loop: hot-path directories where per-byte scan loops are banned.
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
 # A `for` header that advances one element at a time.
@@ -175,8 +187,8 @@ def check_sleep(rel, lines, findings):
         if SLEEP_RE.search(strip_comments(line)) and \
                 not is_suppressed(lines, i, "sleep-in-src"):
             findings.append((rel, i + 1, "sleep-in-src",
-                             "use CondVar::WaitFor instead of "
-                             "std::this_thread::sleep_for"))
+                             "run periodic work as an obs::PeriodicThread "
+                             "tick instead of std::this_thread::sleep_for"))
 
 
 def scope_start(lines, idx):
@@ -384,7 +396,7 @@ def check_condvar_wait_loop(rel, lines, findings):
             continue
         # Walk outwards: the wait passes if ANY enclosing block within the
         # function is a loop (the predicate re-check may sit one level out,
-        # e.g. `for (;;) { { lock; if (!stop_) cv.WaitFor(...); } ... }`).
+        # e.g. `for (;;) { { lock; if (!stop_) cv.Wait(lock); } ... }`).
         wrapped = False
         depth = 0
         min_depth = 0
@@ -412,6 +424,19 @@ def check_condvar_wait_loop(rel, lines, findings):
                              "variables wake spuriously)"))
 
 
+def check_timed_wait(rel, lines, findings):
+    if any(rel.replace(os.sep, "/").endswith(e) for e in TIMED_WAIT_EXEMPT):
+        return
+    for i, line in enumerate(lines):
+        if TIMED_WAIT_RE.search(strip_comments(line)) and \
+                not is_suppressed(lines, i, "timed-wait"):
+            findings.append((rel, i + 1, "timed-wait",
+                             "timed CondVar wait outside the periodic-thread "
+                             "primitive; run periodic work as an "
+                             "obs::PeriodicThread tick "
+                             "(obs/periodic_thread.h)"))
+
+
 def is_test_file(rel):
     base = os.path.basename(rel)
     return ("test" in base) or ("/tests/" in rel.replace(os.sep, "/"))
@@ -435,6 +460,7 @@ def lint_file(path, findings):
         check_flight_record_path(rel, lines, findings)
         check_mutex_rank(rel, lines, findings)
         check_condvar_wait_loop(rel, lines, findings)
+        check_timed_wait(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
