@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace scanraw {
 namespace bench {
@@ -118,7 +118,7 @@ class BenchJsonWriter {
   explicit BenchJsonWriter(std::string name) : name_(std::move(name)) {}
 
   // Extra top-level key/value pairs (values embedded verbatim, so pass
-  // valid JSON — numbers, or strings already quoted via obs::JsonEscape).
+  // valid JSON — numbers, or strings already quoted via JsonEscape).
   void AddExtra(const std::string& key, const std::string& json_value) {
     extra_.emplace_back(key, json_value);
   }
@@ -129,7 +129,7 @@ class BenchJsonWriter {
     std::string json = "{\"headers\":[";
     for (size_t i = 0; i < table.headers().size(); ++i) {
       if (i > 0) json += ",";
-      json += "\"" + obs::JsonEscape(table.headers()[i]) + "\"";
+      json += "\"" + JsonEscape(table.headers()[i]) + "\"";
     }
     json += "],\"rows\":[";
     for (size_t r = 0; r < table.rows().size(); ++r) {
@@ -138,7 +138,7 @@ class BenchJsonWriter {
       const auto& row = table.rows()[r];
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) json += ",";
-        json += "\"" + obs::JsonEscape(row[i]) + "\"";
+        json += "\"" + JsonEscape(row[i]) + "\"";
       }
       json += "]";
     }
@@ -150,10 +150,10 @@ class BenchJsonWriter {
   bool Write(const TablePrinter& table) const {
     const std::string table_json = TableJson(table);
     // Splice the table members into the top-level object.
-    std::string json = "{\"bench\":\"" + obs::JsonEscape(name_) + "\"," +
+    std::string json = "{\"bench\":\"" + JsonEscape(name_) + "\"," +
                        table_json.substr(1, table_json.size() - 2);
     for (const auto& [key, value] : extra_) {
-      json += ",\"" + obs::JsonEscape(key) + "\":" + value;
+      json += ",\"" + JsonEscape(key) + "\":" + value;
     }
     json += "}\n";
 

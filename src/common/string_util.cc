@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -59,6 +60,50 @@ void AppendUint64(std::string* out, uint64_t value) {
     value /= 10;
   } while (value != 0);
   for (int i = len - 1; i >= 0; --i) out->push_back(buf[i]);
+}
+
+int HexDigitValue(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+std::string PercentEscape(std::string_view s) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  if (s.empty()) return "%e";  // a literal '%' is always escaped
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '%' || std::isspace(byte)) {
+      out += '%';
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xF];
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string PercentUnescape(std::string_view s) {
+  if (s == "%e") return "";
+  std::string out;
+  out.reserve(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '%' && i + 2 < s.size()) {
+      const int hi = HexDigitValue(s[i + 1]);
+      const int lo = HexDigitValue(s[i + 2]);
+      if (hi >= 0 && lo >= 0) {
+        out += static_cast<char>(hi << 4 | lo);
+        i += 2;
+        continue;
+      }
+    }
+    out += s[i];
+  }
+  return out;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

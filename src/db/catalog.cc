@@ -1,7 +1,6 @@
 #include "db/catalog.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -195,40 +194,6 @@ namespace {
 constexpr int kCatalogFormatVersion = 2;
 constexpr char kCatalogMagic[] = "scanraw-catalog";
 
-std::string EscapeField(const std::string& s) {
-  if (s.empty()) return "%e";  // literal '%' always escapes, so unambiguous
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '%': out += "%25"; break;
-      case ' ': out += "%20"; break;
-      case '\t': out += "%09"; break;
-      case '\n': out += "%0A"; break;
-      case '\r': out += "%0D"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(const std::string& s) {
-  if (s == "%e") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size() && std::isxdigit(s[i + 1]) &&
-        std::isxdigit(s[i + 2])) {
-      out += static_cast<char>(
-          std::stoi(s.substr(i + 1, 2), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 std::string FormatHexDouble(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a", v);
@@ -265,18 +230,18 @@ Status Catalog::SaveToFile(const std::string& path) const {
   std::ostringstream out;
   out << kCatalogMagic << " v" << kCatalogFormatVersion << '\n';
   for (const auto& [name, t] : tables) {
-    out << "table " << EscapeField(name) << ' ' << EscapeField(t.raw_path)
+    out << "table " << PercentEscape(name) << ' ' << PercentEscape(t.raw_path)
         << ' ' << static_cast<int>(t.schema.delimiter()) << ' '
         << t.target_chunk_rows << ' ' << (t.layout_known ? 1 : 0) << '\n';
     for (const auto& col : t.schema.columns()) {
-      out << "col " << EscapeField(name) << ' ' << EscapeField(col.name)
+      out << "col " << PercentEscape(name) << ' ' << PercentEscape(col.name)
           << ' ' << static_cast<int>(col.type) << '\n';
     }
     for (const auto& c : t.chunks) {
-      out << "chunk " << EscapeField(name) << ' ' << c.chunk_index << ' '
+      out << "chunk " << PercentEscape(name) << ' ' << c.chunk_index << ' '
           << c.raw_offset << ' ' << c.raw_size << ' ' << c.num_rows << '\n';
       for (const auto& [col, st] : c.stats) {
-        out << "stat " << EscapeField(name) << ' ' << c.chunk_index << ' '
+        out << "stat " << PercentEscape(name) << ' ' << c.chunk_index << ' '
             << col << ' ' << st.min_value << ' ' << st.max_value;
         if (st.has_double) {
           out << " D " << FormatHexDouble(st.min_double) << ' '
@@ -285,7 +250,7 @@ Status Catalog::SaveToFile(const std::string& path) const {
         out << '\n';
       }
       for (const auto& seg : c.segments) {
-        out << "seg " << EscapeField(name) << ' ' << c.chunk_index << ' '
+        out << "seg " << PercentEscape(name) << ' ' << c.chunk_index << ' '
             << seg.page.offset << ' ' << seg.page.size << ' ';
         for (size_t i = 0; i < seg.columns.size(); ++i) {
           if (i > 0) out << ',';
@@ -337,7 +302,7 @@ Status Catalog::LoadFromFile(const std::string& path, LoadStats* load_stats) {
   // v1 files predate escaping; their fields are raw.
   const bool escaped = version >= 2;
   auto field = [escaped](const std::string& tok) {
-    return escaped ? UnescapeField(tok) : tok;
+    return escaped ? PercentUnescape(tok) : tok;
   };
 
   std::map<std::string, TableMetadata> tables;

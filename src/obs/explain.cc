@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/metrics.h"
+#include "common/json.h"
 
 namespace scanraw {
 namespace obs {

@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.h"
+#include "common/json.h"
 
 namespace scanraw {
 namespace obs {

@@ -6,8 +6,8 @@
 #include <cstring>
 
 #include "common/clock.h"
+#include "common/json.h"
 #include "io/file.h"
-#include "obs/metrics.h"  // JsonEscape
 
 namespace scanraw {
 namespace obs {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace scanraw {
 namespace obs {
 
@@ -206,39 +208,6 @@ std::string MetricsRegistry::ToText() const {
            ",p95=" + FormatDouble(h->Quantile(0.95)) +
            ",p99=" + FormatDouble(h->Quantile(0.99)) +
            ",max=" + std::to_string(h->max()) + "}\n";
-  }
-  return out;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

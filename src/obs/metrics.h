@@ -135,9 +135,6 @@ class MetricsRegistry {
       GUARDED_BY(mu_);
 };
 
-// Minimal JSON string escaping for metric names / labels.
-std::string JsonEscape(std::string_view s);
-
 }  // namespace obs
 }  // namespace scanraw
 

@@ -1,12 +1,11 @@
 #include "obs/query_log.h"
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <variant>
 
+#include "common/json.h"
 #include "io/fault_injection.h"
-#include "obs/metrics.h"
 
 namespace scanraw {
 namespace obs {
@@ -14,7 +13,7 @@ namespace obs {
 namespace {
 
 constexpr int kLogVersion = 1;
-constexpr std::string_view kHeaderPrefix = "{\"scanraw_query_log\":";
+constexpr std::string_view kHeaderKey = "scanraw_query_log";
 
 std::string Fmt(const char* fmt, double v) {
   char buf[64];
@@ -42,211 +41,67 @@ int64_t WallClockMicros() {
       .count();
 }
 
-// --- Minimal parser for the machine-written single-line JSON above. The
-// format is our own (stable key order, escaped strings), so a key-directed
-// extractor is enough; anything it cannot account for is "corrupt" and the
-// reader drops the line with a counter rather than guessing.
+// --- Reading a line back: FromJsonLine walks the line's members once with
+// the shared JsonReader. Each member ToJsonLine writes lands in its field,
+// an unknown member is skipped, and a missing or repeated one fails the
+// line, so a torn prefix never parses.
 
-// Position just past `"key":`, or npos. Values escape '"', so a literal
-// `"key":` can never appear inside a string value.
-size_t AfterKey(std::string_view line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const size_t pos = line.find(needle);
-  return pos == std::string_view::npos ? std::string_view::npos
-                                       : pos + needle.size();
+using StageSeconds = std::vector<std::pair<std::string, double>>;
+struct Field;
+using Fields = std::vector<Field>;
+// Where a member's value goes; `const Fields*` is a nested object.
+using Slot = std::variant<uint64_t*, int64_t*, double*, bool*, std::string*,
+                          std::vector<size_t>*, StageSeconds*, const Fields*>;
+struct Field {
+  std::string_view key;
+  Slot slot;
+};
+
+template <typename T>
+bool ReadSlot(JsonReader& r, T* out) {
+  return r.Read(out);
 }
 
-bool ParseU64At(std::string_view line, size_t pos, uint64_t* out) {
-  if (pos >= line.size() || !std::isdigit(static_cast<unsigned char>(line[pos])))
-    return false;
-  uint64_t v = 0;
-  while (pos < line.size() && std::isdigit(static_cast<unsigned char>(line[pos]))) {
-    v = v * 10 + static_cast<uint64_t>(line[pos] - '0');
-    ++pos;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseU64Field(std::string_view line, std::string_view key, uint64_t* out) {
-  const size_t pos = AfterKey(line, key);
-  return pos != std::string_view::npos && ParseU64At(line, pos, out);
-}
-
-bool ParseI64Field(std::string_view line, std::string_view key, int64_t* out) {
-  size_t pos = AfterKey(line, key);
-  if (pos == std::string_view::npos) return false;
-  bool neg = false;
-  if (pos < line.size() && line[pos] == '-') {
-    neg = true;
-    ++pos;
-  }
-  uint64_t v = 0;
-  if (!ParseU64At(line, pos, &v)) return false;
-  *out = neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
-  return true;
-}
-
-bool ParseDoubleField(std::string_view line, std::string_view key,
-                      double* out) {
-  const size_t pos = AfterKey(line, key);
-  if (pos == std::string_view::npos || pos >= line.size()) return false;
-  // strtod needs a terminated buffer; numbers are short.
-  char buf[64];
-  size_t n = 0;
-  while (pos + n < line.size() && n + 1 < sizeof(buf)) {
-    const char c = line[pos + n];
-    if (c == ',' || c == '}' || c == ']') break;
-    buf[n++] = c;
-  }
-  buf[n] = '\0';
-  if (n == 0) return false;
-  char* end = nullptr;
-  *out = std::strtod(buf, &end);
-  return end == buf + n;
-}
-
-bool ParseBoolField(std::string_view line, std::string_view key, bool* out) {
-  const size_t pos = AfterKey(line, key);
-  if (pos == std::string_view::npos) return false;
-  if (line.substr(pos, 4) == "true") {
-    *out = true;
-    return true;
-  }
-  if (line.substr(pos, 5) == "false") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-bool JsonUnescape(std::string_view in, std::string* out) {
+bool ReadSlot(JsonReader& r, std::vector<size_t>* out) {
   out->clear();
-  out->reserve(in.size());
-  for (size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '\\') {
-      *out += in[i];
-      continue;
-    }
-    if (++i >= in.size()) return false;
-    switch (in[i]) {
-      case '"': *out += '"'; break;
-      case '\\': *out += '\\'; break;
-      case '/': *out += '/'; break;
-      case 'n': *out += '\n'; break;
-      case 'r': *out += '\r'; break;
-      case 't': *out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= in.size()) return false;
-        unsigned v = 0;
-        for (int k = 1; k <= 4; ++k) {
-          const char c = in[i + k];
-          v <<= 4;
-          if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-          else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-          else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-          else return false;
-        }
-        // JsonEscape only \u-encodes control bytes, so one char suffices.
-        *out += static_cast<char>(v & 0xff);
-        i += 4;
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return true;
+  return r.ReadArray([&] { return r.Read(&out->emplace_back()); });
 }
 
-bool ParseStringField(std::string_view line, std::string_view key,
-                      std::string* out) {
-  size_t pos = AfterKey(line, key);
-  if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '"')
-    return false;
-  ++pos;
-  size_t end = pos;
-  while (end < line.size() && line[end] != '"') {
-    if (line[end] == '\\') ++end;  // skip the escaped char
-    ++end;
-  }
-  if (end >= line.size()) return false;  // unterminated string: torn
-  return JsonUnescape(line.substr(pos, end - pos), out);
-}
-
-bool ParseSizeArrayField(std::string_view line, std::string_view key,
-                         std::vector<size_t>* out) {
-  size_t pos = AfterKey(line, key);
-  if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '[')
-    return false;
-  ++pos;
+bool ReadSlot(JsonReader& r, StageSeconds* out) {
   out->clear();
-  if (pos < line.size() && line[pos] == ']') return true;
-  while (pos < line.size()) {
-    uint64_t v = 0;
-    if (!ParseU64At(line, pos, &v)) return false;
-    out->push_back(static_cast<size_t>(v));
-    while (pos < line.size() && std::isdigit(static_cast<unsigned char>(line[pos])))
-      ++pos;
-    if (pos >= line.size()) return false;
-    if (line[pos] == ']') return true;
-    if (line[pos] != ',') return false;
-    ++pos;
-  }
-  return false;
+  return r.ReadObject([&](const std::string& stage) {
+    out->emplace_back(stage, 0.0);
+    return r.Read(&out->back().second);
+  });
 }
 
-// `"stages":{"read":0.1,...}` — names are stage identifiers (no escapes).
-bool ParseStageMap(std::string_view line,
-                   std::vector<std::pair<std::string, double>>* out) {
-  size_t pos = AfterKey(line, "stages");
-  if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '{')
-    return false;
-  ++pos;
-  out->clear();
-  if (pos < line.size() && line[pos] == '}') return true;
-  while (pos < line.size()) {
-    if (line[pos] != '"') return false;
-    const size_t name_end = line.find('"', pos + 1);
-    if (name_end == std::string_view::npos) return false;
-    std::string name(line.substr(pos + 1, name_end - pos - 1));
-    pos = name_end + 1;
-    if (pos >= line.size() || line[pos] != ':') return false;
-    ++pos;
-    char buf[64];
-    size_t n = 0;
-    while (pos + n < line.size() && n + 1 < sizeof(buf)) {
-      const char c = line[pos + n];
-      if (c == ',' || c == '}') break;
-      buf[n++] = c;
-    }
-    buf[n] = '\0';
-    char* end = nullptr;
-    const double v = std::strtod(buf, &end);
-    if (n == 0 || end != buf + n) return false;
-    out->emplace_back(std::move(name), v);
-    pos += n;
-    if (pos >= line.size()) return false;
-    if (line[pos] == '}') return true;
-    if (line[pos] != ',') return false;
-    ++pos;
-  }
-  return false;
+bool ReadSlot(JsonReader& r, const Fields* fields) {
+  uint32_t seen = 0;
+  return r.ReadObject([&](const std::string& key) {
+           for (size_t i = 0; i < fields->size(); ++i) {
+             if ((*fields)[i].key != key) continue;
+             if (seen & (1u << i)) return false;
+             seen |= 1u << i;
+             return std::visit([&](auto* out) { return ReadSlot(r, out); },
+                               (*fields)[i].slot);
+           }
+           return r.SkipValue();
+         }) &&
+         seen == (1u << fields->size()) - 1;
 }
 
 // Header line for a fresh generation: {"scanraw_query_log":1}
 std::string HeaderLine() {
-  return std::string(kHeaderPrefix) + std::to_string(kLogVersion) + "}";
+  return "{\"" + std::string(kHeaderKey) + "\":" + std::to_string(kLogVersion) +
+         "}";
 }
 
 // Parses a header line; returns the version or 0 when not a header.
-int HeaderVersion(std::string_view line) {
-  if (line.substr(0, kHeaderPrefix.size()) != kHeaderPrefix) return 0;
-  uint64_t v = 0;
-  if (!ParseU64At(line, kHeaderPrefix.size(), &v)) return 0;
-  return static_cast<int>(v);
+uint64_t HeaderVersion(std::string_view line) {
+  uint64_t version = 0;
+  const Fields header = {{kHeaderKey, &version}};
+  JsonReader r(line);
+  return ReadSlot(r, &header) && r.AtEnd() ? version : 0;
 }
 
 }  // namespace
@@ -287,39 +142,35 @@ std::string QueryLogEvent::ToJsonLine() const {
 }
 
 bool QueryLogEvent::FromJsonLine(std::string_view line, QueryLogEvent* event) {
-  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
-    return false;
   QueryLogEvent e;
-  // Every field ToJsonLine writes must parse; a torn suffix fails here.
-  if (!ParseU64Field(line, "seq", &e.seq)) return false;
-  if (!ParseI64Field(line, "ts_unix_micros", &e.ts_unix_micros)) return false;
-  if (!ParseStringField(line, "table", &e.table)) return false;
-  if (!ParseStringField(line, "policy", &e.policy)) return false;
-  if (!ParseStringField(line, "status", &e.status)) return false;
-  if (!ParseDoubleField(line, "wall_seconds", &e.wall_seconds)) return false;
-  if (!ParseSizeArrayField(line, "columns", &e.columns)) return false;
-  if (!ParseSizeArrayField(line, "predicate_columns", &e.predicate_columns))
-    return false;
-  if (!ParseU64Field(line, "rows_scanned", &e.rows_scanned)) return false;
-  if (!ParseU64Field(line, "rows_matched", &e.rows_matched)) return false;
-  if (!ParseStageMap(line, &e.stage_busy_seconds)) return false;
-  if (!ParseU64Field(line, "cache", &e.chunks_from_cache)) return false;
-  if (!ParseU64Field(line, "db", &e.chunks_from_db)) return false;
-  if (!ParseU64Field(line, "raw", &e.chunks_from_raw)) return false;
-  if (!ParseU64Field(line, "skipped", &e.chunks_skipped)) return false;
-  if (!ParseU64Field(line, "written", &e.chunks_written)) return false;
-  if (!ParseU64Field(line, "speculative_triggers", &e.speculative_triggers))
-    return false;
-  if (!ParseU64Field(line, "bytes_read", &e.bytes_read)) return false;
-  if (!ParseU64Field(line, "bytes_written", &e.bytes_written)) return false;
-  if (!ParseU64Field(line, "useful_bytes_written", &e.useful_bytes_written))
-    return false;
-  if (!ParseDoubleField(line, "cache_hit_rate", &e.cache_hit_rate))
-    return false;
-  if (!ParseDoubleField(line, "posmap_hit_rate", &e.posmap_hit_rate))
-    return false;
-  if (!ParseBoolField(line, "paid_off", &e.speculation_paid_off)) return false;
-  if (!ParseBoolField(line, "advisor_used", &e.advisor_used)) return false;
+  const Fields chunks = {{"cache", &e.chunks_from_cache},
+                         {"db", &e.chunks_from_db},
+                         {"raw", &e.chunks_from_raw},
+                         {"skipped", &e.chunks_skipped},
+                         {"written", &e.chunks_written}};
+  const Fields members = {
+      {"seq", &e.seq},
+      {"ts_unix_micros", &e.ts_unix_micros},
+      {"table", &e.table},
+      {"policy", &e.policy},
+      {"status", &e.status},
+      {"wall_seconds", &e.wall_seconds},
+      {"columns", &e.columns},
+      {"predicate_columns", &e.predicate_columns},
+      {"rows_scanned", &e.rows_scanned},
+      {"rows_matched", &e.rows_matched},
+      {"stages", &e.stage_busy_seconds},
+      {"chunks", &chunks},
+      {"speculative_triggers", &e.speculative_triggers},
+      {"bytes_read", &e.bytes_read},
+      {"bytes_written", &e.bytes_written},
+      {"useful_bytes_written", &e.useful_bytes_written},
+      {"cache_hit_rate", &e.cache_hit_rate},
+      {"posmap_hit_rate", &e.posmap_hit_rate},
+      {"paid_off", &e.speculation_paid_off},
+      {"advisor_used", &e.advisor_used}};
+  JsonReader r(line);
+  if (!ReadSlot(r, &members) || !r.AtEnd()) return false;
   *event = std::move(e);
   return true;
 }
@@ -481,12 +332,12 @@ Result<std::vector<QueryLogEvent>> QueryLog::ReadAll(const std::string& path,
       if (!saw_header) {
         // First line must be the versioned header; a freshly created file
         // killed before the header write is empty and never gets here.
-        const int version = HeaderVersion(line);
+        const uint64_t version = HeaderVersion(line);
         if (version == 0 || version > kLogVersion) {
           return Status::Corruption("query log " + gen +
                                     ": bad or unsupported header");
         }
-        local.version = version;
+        local.version = static_cast<int>(version);
         saw_header = true;
         continue;
       }

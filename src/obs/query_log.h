@@ -67,8 +67,9 @@ struct QueryLogEvent {
 
   // Single-line JSON without the trailing newline.
   std::string ToJsonLine() const;
-  // Strict parse of a line produced by ToJsonLine. Returns false on torn
-  // or corrupt input; `event` is untouched on failure.
+  // Parses a line ToJsonLine wrote, members in any order and unknown ones
+  // skipped. Returns false when a member ToJsonLine writes is missing or
+  // repeated, or on torn or corrupt input; `event` is untouched on failure.
   static bool FromJsonLine(std::string_view line, QueryLogEvent* event);
 };
 

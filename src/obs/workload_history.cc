@@ -1,10 +1,10 @@
 #include "obs/workload_history.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "io/file.h"
 
 namespace scanraw {
@@ -13,43 +13,6 @@ namespace obs {
 namespace {
 
 constexpr std::string_view kHeader = "scanraw-history v1";
-
-// Percent-escaping for table names so the line format stays whitespace
-// delimited (same scheme as the catalog's name fields).
-std::string EscapeName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  char buf[8];
-  for (char c : name) {
-    if (c == '%' || c == ' ' || c == '\n' || c == '\r' || c == '\t') {
-      std::snprintf(buf, sizeof(buf), "%%%02x",
-                    static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeName(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '%' && i + 2 < escaped.size()) {
-      const int hi = std::isxdigit(static_cast<unsigned char>(escaped[i + 1]))
-                         ? std::stoi(escaped.substr(i + 1, 2), nullptr, 16)
-                         : -1;
-      if (hi >= 0) {
-        out += static_cast<char>(hi);
-        i += 2;
-        continue;
-      }
-    }
-    out += escaped[i];
-  }
-  return out;
-}
 
 // Parses "key=value" into `out` when `token` starts with "key=".
 bool KeyedU64(const std::string& token, std::string_view key, uint64_t* out) {
@@ -137,13 +100,13 @@ Status WorkloadHistory::SaveToFile(const std::string& path) const {
     out += "meta last_seq=" + std::to_string(last_seq_) +
            " events=" + std::to_string(events_observed_) + "\n";
     for (const auto& [name, table] : tables_) {
-      out += "table " + EscapeName(name) +
+      out += "table " + PercentEscape(name) +
              " queries=" + std::to_string(table.queries) +
              " rows_scanned=" + std::to_string(table.rows_scanned) +
              " rows_matched=" + std::to_string(table.rows_matched) +
              " last_seq=" + std::to_string(table.last_seq) + "\n";
       for (const auto& [id, col] : table.columns) {
-        out += "col " + EscapeName(name) + " " + std::to_string(id) +
+        out += "col " + PercentEscape(name) + " " + std::to_string(id) +
                " touches=" + std::to_string(col.touches) +
                " predicates=" + std::to_string(col.predicates) +
                " last_seq=" + std::to_string(col.last_seq) + "\n";
@@ -196,7 +159,7 @@ Status WorkloadHistory::LoadFromFile(const std::string& path,
     } else if (kind == "table") {
       std::string name;
       fields >> name;
-      TableUsage& table = tables[UnescapeName(name)];
+      TableUsage& table = tables[PercentUnescape(name)];
       std::string token;
       while (fields >> token) {
         KeyedU64(token, "queries", &table.queries) ||
@@ -213,7 +176,7 @@ Status WorkloadHistory::LoadFromFile(const std::string& path,
         return Status::Corruption("workload history " + path +
                                   ": malformed col line");
       }
-      ColumnUsage& col = tables[UnescapeName(name)].columns[id];
+      ColumnUsage& col = tables[PercentUnescape(name)].columns[id];
       std::string token;
       while (fields >> token) {
         KeyedU64(token, "touches", &col.touches) ||

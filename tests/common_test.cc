@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/json.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -162,6 +165,113 @@ TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[1], "");
   EXPECT_EQ(parts[2], "b");
   EXPECT_EQ(parts[3], "");
+}
+
+TEST(JsonEscapeTest, EscapesControlAndQuotes) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+}
+
+TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
+  // Control characters without shorthand escapes use \u00XX.
+  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(JsonEscape(std::string(1, '\x1f')), "\\u001f");
+  EXPECT_EQ(JsonEscape("a\tb\rc"), "a\\tb\\rc");
+  // The empty string round-trips.
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
+TEST(JsonReaderTest, EscapeRoundTripsEverySingleByte) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    const std::string text = "\"" + JsonEscape(s) + "\"";
+    JsonReader r(text);
+    std::string back;
+    ASSERT_TRUE(r.Read(&back)) << "byte " << b;
+    EXPECT_EQ(back, s) << "byte " << b;
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(JsonReaderTest, EscapeRoundTripsRandomStrings) {
+  Random rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng.Uniform(64), '\0');
+    for (char& c : s) c = static_cast<char>(rng.Uniform(256));
+    const std::string text = "\"" + JsonEscape(s) + "\"";
+    JsonReader r(text);
+    std::string back;
+    ASSERT_TRUE(r.Read(&back));
+    EXPECT_EQ(back, s);
+  }
+}
+
+TEST(JsonReaderTest, StandardEscapesAndRejects) {
+  std::string s;
+  EXPECT_TRUE(JsonReader(R"("\/\b\f\u0041\u00e9\u20ac")").Read(&s));
+  EXPECT_EQ(s, "/\b\fA\xC3\xA9\xE2\x82\xAC");
+  for (const char* bad : {R"("abc)", R"("\x")", R"("\u12")", R"("\u12g4")",
+                          "\"a\nb\"", "abc"}) {
+    EXPECT_FALSE(JsonReader(bad).Read(&s)) << bad;
+  }
+}
+
+TEST(JsonReaderTest, Numbers) {
+  uint64_t u = 0;
+  EXPECT_TRUE(JsonReader(" 18446744073709551615").Read(&u));
+  EXPECT_EQ(u, UINT64_MAX);
+  for (const char* bad : {"18446744073709551616", "-1", "1.5", "1e3", "+1",
+                          "", "x"}) {
+    EXPECT_FALSE(JsonReader(bad).Read(&u)) << bad;
+  }
+  int64_t i = 0;
+  EXPECT_TRUE(JsonReader("-9223372036854775808").Read(&i));
+  EXPECT_EQ(i, INT64_MIN);
+  EXPECT_FALSE(JsonReader("9223372036854775808").Read(&i));
+  double d = 0;
+  EXPECT_TRUE(JsonReader("-2.5e-3").Read(&d));
+  EXPECT_DOUBLE_EQ(d, -2.5e-3);
+  // printf's %g spellings of the non-finite values.
+  EXPECT_TRUE(JsonReader("nan").Read(&d));
+  EXPECT_TRUE(std::isnan(d));
+  EXPECT_TRUE(JsonReader("-inf").Read(&d));
+  EXPECT_EQ(d, -HUGE_VAL);
+  EXPECT_FALSE(JsonReader("1.5.5").Read(&d));
+  bool b = false;
+  EXPECT_TRUE(JsonReader("true").Read(&b));
+  EXPECT_TRUE(b);
+  EXPECT_FALSE(JsonReader("truex").Read(&b));
+}
+
+TEST(JsonReaderTest, WalksObjectsAndArraysSkippingUnknownMembers) {
+  JsonReader r(R"( {"a": [1, 2 ,3], "skip": {"x": [{}, [], "}", null]},
+                   "b": "two"} )");
+  std::vector<uint64_t> a;
+  std::string b;
+  ASSERT_TRUE(r.ReadObject([&](const std::string& key) {
+    if (key == "a") return r.ReadArray([&] { return r.Read(&a.emplace_back()); });
+    if (key == "b") return r.Read(&b);
+    return r.SkipValue();
+  }));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(a, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(b, "two");
+}
+
+TEST(JsonReaderTest, SkipValueRejectsMalformedAndSurvivesDeepNesting) {
+  for (const char* bad : {"[1,]", "{\"a\"}", "{\"a\":1,}", "[}", "{]", "[1 2]",
+                          "nul", "[", "\"x", ""}) {
+    EXPECT_FALSE(JsonReader(bad).SkipValue()) << bad;
+  }
+  const size_t depth = 1 << 20;
+  std::string deep(depth, '[');
+  EXPECT_FALSE(JsonReader(deep).SkipValue());
+  deep.append(depth, ']');
+  JsonReader r(deep);
+  EXPECT_TRUE(r.SkipValue());
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(StringUtilTest, SplitSingleField) {

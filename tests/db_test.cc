@@ -202,6 +202,26 @@ TEST(CatalogTest, PersistenceRoundTripEscapedNames) {
   EXPECT_EQ(meta->chunks[0].loaded_columns.count(0), 1u);
 }
 
+// Every byte but NUL in a table name and a raw path survives a save/load,
+// \v and \f included: the reader splits fields at every isspace() byte, so
+// the escaper must escape all of them.
+TEST(CatalogTest, PersistenceRoundTripEveryByte) {
+  const std::string path = TempPath("catalog_every_byte.txt");
+  std::string bytes;
+  for (int b = 1; b < 256; ++b) bytes += static_cast<char>(b);
+  Catalog catalog;
+  Schema schema(std::vector<ColumnDef>{{bytes, FieldType::kUint32}}, ',');
+  ASSERT_TRUE(catalog.CreateTable(bytes, "/raw/" + bytes, schema, 128).ok());
+  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+
+  Catalog restored;
+  ASSERT_TRUE(restored.LoadFromFile(path).ok());
+  auto meta = restored.GetTable(bytes);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->raw_path, "/raw/" + bytes);
+  EXPECT_EQ(meta->schema.column(0).name, bytes);
+}
+
 // Double zone-map bounds must survive a save/load bit-exactly — denormals,
 // extreme magnitudes, and 17-significant-digit values included. Truncating
 // them through the int64 path is the regression this guards against.

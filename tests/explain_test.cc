@@ -1,14 +1,12 @@
 // Unit tests for the query-scoped observability layer: SpanProfiler
 // interval-union aggregation and critical-path selection, ExplainReport
-// rendering, ProgressTracker rolling-window ETA arithmetic, and the
-// bench_compare regression gate (both directions).
+// rendering, and ProgressTracker rolling-window ETA arithmetic.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "common/clock.h"
-#include "obs/bench_compare.h"
 #include "obs/explain.h"
 #include "obs/progress.h"
 #include "obs/span_profiler.h"
@@ -264,99 +262,6 @@ TEST(ProgressTrackerTest, RollingWindowFollowsPhaseChange) {
     progress = tracker.Snapshot();
   }
   EXPECT_NEAR(progress.throughput_bps, 10.0, 1.0);
-}
-
-// ------------------------------------------------------------ bench gate
-
-constexpr char kBaselineJson[] =
-    "{\"bench\":\"fig5_pipeline\","
-    "\"headers\":[\"columns\",\"READ (ms)\",\"PARSE (ms)\"],"
-    "\"rows\":[[\"2\",\"10.0\",\"20.0\"],[\"4\",\"30.0\",\"40.0\"]],"
-    "\"extra\":{\"nested\":[1,2,{\"deep\":\"x\"}]}}";
-
-TEST(BenchCompareTest, IdenticalArtifactsDoNotRegress) {
-  auto baseline = ParseBenchJson(kBaselineJson);
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_EQ(baseline->name, "fig5_pipeline");
-  ASSERT_EQ(baseline->rows.size(), 2u);
-
-  const BenchComparison comparison =
-      CompareBenchTables(*baseline, *baseline, 5.0);
-  EXPECT_FALSE(comparison.has_regression());
-  EXPECT_EQ(comparison.deltas.size(), 4u);  // 2 rows x 2 numeric columns
-  EXPECT_TRUE(comparison.unmatched.empty());
-}
-
-TEST(BenchCompareTest, SlowdownBeyondThresholdRegresses) {
-  auto baseline = ParseBenchJson(kBaselineJson);
-  ASSERT_TRUE(baseline.ok());
-  BenchTable candidate = *baseline;
-  candidate.rows[0][2] = "22.0";  // PARSE 20.0 -> 22.0 = +10%
-
-  const BenchComparison at5 = CompareBenchTables(*baseline, candidate, 5.0);
-  EXPECT_TRUE(at5.has_regression());
-  int regressed = 0;
-  for (const BenchDelta& d : at5.deltas) {
-    if (d.regressed) {
-      ++regressed;
-      EXPECT_EQ(d.row_key, "2");
-      EXPECT_EQ(d.column, "PARSE (ms)");
-      EXPECT_NEAR(d.delta_pct, 10.0, 1e-6);
-    }
-  }
-  EXPECT_EQ(regressed, 1);
-  EXPECT_NE(at5.ToText().find("REGRESSION"), std::string::npos);
-
-  // The same slowdown passes a looser gate.
-  EXPECT_FALSE(CompareBenchTables(*baseline, candidate, 15.0)
-                   .has_regression());
-}
-
-TEST(BenchCompareTest, ImprovementNeverRegresses) {
-  auto baseline = ParseBenchJson(kBaselineJson);
-  ASSERT_TRUE(baseline.ok());
-  BenchTable candidate = *baseline;
-  candidate.rows[0][1] = "1.0";  // READ 10.0 -> 1.0, a 90% improvement
-  const BenchComparison comparison =
-      CompareBenchTables(*baseline, candidate, 5.0);
-  EXPECT_FALSE(comparison.has_regression());
-  bool saw_improvement = false;
-  for (const BenchDelta& d : comparison.deltas) {
-    if (d.row_key == "2" && d.column == "READ (ms)") {
-      saw_improvement = true;
-      EXPECT_NEAR(d.delta_pct, -90.0, 1e-6);
-    }
-  }
-  EXPECT_TRUE(saw_improvement);
-}
-
-TEST(BenchCompareTest, UnmatchedRowsAreReportedNotCompared) {
-  auto baseline = ParseBenchJson(kBaselineJson);
-  ASSERT_TRUE(baseline.ok());
-  BenchTable candidate = *baseline;
-  candidate.rows.pop_back();  // candidate lost row "4"
-  candidate.rows.push_back({"8", "1.0", "2.0"});  // and gained row "8"
-
-  const BenchComparison comparison =
-      CompareBenchTables(*baseline, candidate, 5.0);
-  EXPECT_FALSE(comparison.has_regression());
-  ASSERT_EQ(comparison.unmatched.size(), 2u);
-}
-
-TEST(BenchCompareTest, NonNumericCellsAreIgnored) {
-  const char* json =
-      "{\"bench\":\"t\",\"headers\":[\"key\",\"note\",\"ms\"],"
-      "\"rows\":[[\"a\",\"fast path\",\"5.0\"]]}";
-  auto table = ParseBenchJson(json);
-  ASSERT_TRUE(table.ok());
-  const BenchComparison comparison = CompareBenchTables(*table, *table, 5.0);
-  EXPECT_EQ(comparison.deltas.size(), 1u);  // only "ms" is numeric
-}
-
-TEST(BenchCompareTest, MalformedJsonIsRejected) {
-  EXPECT_FALSE(ParseBenchJson("not json").ok());
-  EXPECT_FALSE(ParseBenchJson("{\"bench\":\"x\"}").ok());  // no headers/rows
-  EXPECT_FALSE(ParseBenchJson("{\"headers\":[],\"rows\":[}").ok());
 }
 
 }  // namespace

@@ -192,13 +192,6 @@ TEST(MetricsRegistryTest, JsonExportContainsAllFamilies) {
   EXPECT_EQ(json.back(), '}');
 }
 
-TEST(JsonEscapeTest, EscapesControlAndQuotes) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-}
-
 // The flight recorder is the session's trace store: Snapshot() decodes
 // every ring and ToChromeTraceJson() exports it. The recorder is
 // process-global, so each test starts from a reset one.
@@ -273,15 +266,6 @@ TEST_F(FlightTraceTest, EmptyLabelOmitsMetadataEvent) {
   FlightRecord(Stage::kRead, 0, 0, ChunkSource::kRaw, 50);
   const std::string json = FlightRecorder::Global()->ToChromeTraceJson("");
   EXPECT_EQ(json.find("\"ph\":\"M\""), std::string::npos);
-}
-
-TEST(JsonEscapeTest, ControlCharactersUseUnicodeEscapes) {
-  // Control characters without shorthand escapes use \u00XX.
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x1f')), "\\u001f");
-  EXPECT_EQ(JsonEscape("a\tb\rc"), "a\\tb\\rc");
-  // The empty string round-trips.
-  EXPECT_EQ(JsonEscape(""), "");
 }
 
 // ------------------------------------------------------- stage events ---

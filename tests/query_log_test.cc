@@ -7,10 +7,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "io/fault_injection.h"
 #include "io/file.h"
 #include "obs/query_log.h"
@@ -110,6 +115,94 @@ TEST_F(QueryLogTest, EveryTruncationOfALineIsRejected) {
   }
   QueryLogEvent e;
   EXPECT_TRUE(QueryLogEvent::FromJsonLine(line, &e));
+}
+
+// The members of a JSON object as written ("key":value), read with the
+// same reader FromJsonLine uses.
+std::vector<std::string> Members(std::string_view object) {
+  std::vector<std::string> members;
+  JsonReader r(object);
+  EXPECT_TRUE(r.ReadObject([&](const std::string& key) {
+    const size_t start = r.pos();
+    if (!r.SkipValue()) return false;
+    members.push_back("\"" + key + "\":" +
+                      std::string(object.substr(start, r.pos() - start)));
+    return true;
+  }));
+  return members;
+}
+
+std::string Join(const std::vector<std::string>& members) {
+  std::string out = "{";
+  for (size_t i = 0; i < members.size(); ++i) {
+    out += (i > 0 ? "," : "") + members[i];
+  }
+  return out + "}";
+}
+
+TEST_F(QueryLogTest, MembersInAnyOrderAndUnknownMembersParse) {
+  const QueryLogEvent e = SampleEvent("t");
+  std::vector<std::string> members = Members(e.ToJsonLine());
+  ASSERT_EQ(members.size(), 20u);
+  std::reverse(members.begin(), members.end());
+  members.insert(members.begin() + 3, "\"added_later\":{\"x\":[1,\"}\"]}");
+  QueryLogEvent back;
+  ASSERT_TRUE(QueryLogEvent::FromJsonLine(Join(members), &back));
+  EXPECT_EQ(back.ToJsonLine(), e.ToJsonLine());
+}
+
+TEST_F(QueryLogTest, MissingOrRepeatedMemberFailsTheLine) {
+  const std::vector<std::string> members =
+      Members(SampleEvent("t").ToJsonLine());
+  QueryLogEvent e;
+  for (size_t i = 0; i < members.size(); ++i) {
+    std::vector<std::string> fewer = members;
+    fewer.erase(fewer.begin() + i);
+    EXPECT_FALSE(QueryLogEvent::FromJsonLine(Join(fewer), &e)) << members[i];
+    std::vector<std::string> repeated = members;
+    repeated.push_back(members[i]);
+    EXPECT_FALSE(QueryLogEvent::FromJsonLine(Join(repeated), &e))
+        << members[i];
+  }
+  // The same holds inside the nested chunks object.
+  const std::string prefix = "\"chunks\":";
+  size_t at = 0;
+  while (members[at].rfind(prefix, 0) != 0) ++at;
+  const std::vector<std::string> chunks =
+      Members(std::string_view(members[at]).substr(prefix.size()));
+  ASSERT_EQ(chunks.size(), 5u);
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    std::vector<std::string> fewer = chunks;
+    fewer.erase(fewer.begin() + i);
+    std::vector<std::string> line = members;
+    line[at] = prefix + Join(fewer);
+    EXPECT_FALSE(QueryLogEvent::FromJsonLine(Join(line), &e)) << chunks[i];
+  }
+}
+
+TEST_F(QueryLogTest, OutOfRangeIntegerIsRejected) {
+  std::vector<std::string> members = Members(SampleEvent("t").ToJsonLine());
+  ASSERT_EQ(members[0].rfind("\"seq\":", 0), 0u);
+  QueryLogEvent e;
+  members[0] = "\"seq\":18446744073709551615";
+  ASSERT_TRUE(QueryLogEvent::FromJsonLine(Join(members), &e));
+  EXPECT_EQ(e.seq, UINT64_MAX);
+  members[0] = "\"seq\":100000000000000000000";  // 21 digits
+  EXPECT_FALSE(QueryLogEvent::FromJsonLine(Join(members), &e));
+}
+
+TEST_F(QueryLogTest, NonFiniteDoublesRoundTrip) {
+  QueryLogEvent e = SampleEvent("t");
+  e.wall_seconds = std::numeric_limits<double>::quiet_NaN();
+  e.cache_hit_rate = std::numeric_limits<double>::infinity();
+  e.posmap_hit_rate = -std::numeric_limits<double>::infinity();
+  const std::string line = e.ToJsonLine();
+  ASSERT_NE(line.find("\"wall_seconds\":nan"), std::string::npos) << line;
+  QueryLogEvent back;
+  ASSERT_TRUE(QueryLogEvent::FromJsonLine(line, &back)) << line;
+  EXPECT_TRUE(std::isnan(back.wall_seconds));
+  EXPECT_EQ(back.cache_hit_rate, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(back.posmap_hit_rate, -std::numeric_limits<double>::infinity());
 }
 
 TEST_F(QueryLogTest, AppendAssignsSeqAndReadAllReturnsEverything) {

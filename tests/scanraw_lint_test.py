@@ -714,6 +714,57 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/obs/sampler.cc")
         self.assertEqual(code, 0, out)
 
+    # ---- json-decode ----
+
+    JSON_DECODER = ("bool Unescape(char e, std::string* out) {\n"
+                    "  switch (e) {\n"
+                    "    case 'n': *out += '\\n'; return true;\n"
+                    "    case 'u': return ReadHex4(out);\n"
+                    "  }\n  return false;\n}\n")
+
+    def test_json_decode_caught(self):
+        self.write("src/obs/query_log.cc", self.JSON_DECODER)
+        code, out = self.lint("src/obs/query_log.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("src/obs/query_log.cc:4: [json-decode]", out)
+
+    def test_json_decode_caught_without_spaces(self):
+        self.write("src/obs/bench.cc", "switch (c) { case'u' : break; }\n")
+        code, out = self.lint("src/obs/bench.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("[json-decode]", out)
+
+    def test_json_decode_exempt_in_common_json(self):
+        self.write("src/common/json.cc", self.JSON_DECODER)
+        code, out = self.lint("src/common/json.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_other_case_labels_pass(self):
+        self.write("src/obs/bench.cc",
+                   "switch (c) { case 'U': case 'n': case 'x': break; }\n"
+                   "switch (k) { case kU: case 'u' + 1: break; }\n")
+        code, out = self.lint("src/obs/bench.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_json_decode_in_test_file_passes(self):
+        self.write("tests/json_test.cc", self.JSON_DECODER)
+        code, out = self.lint("tests/json_test.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_json_decode_in_comment_passes(self):
+        self.write("src/obs/bench.cc",
+                   "// the old reader had its own case 'u': branch\n")
+        code, out = self.lint("src/obs/bench.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_json_decode_suppressed(self):
+        self.write("src/obs/bench.cc",
+                   "switch (c) {\n"
+                   "  // scanraw-lint: allow(json-decode)\n"
+                   "  case 'u': break;\n}\n")
+        code, out = self.lint("src/obs/bench.cc")
+        self.assertEqual(code, 0, out)
+
     def test_clean_tree_exits_zero(self):
         self.write("src/io/a.cc", 'Mutex a{LockRank::kLeaf, "a"};\n')
         self.write("src/io/foo.h", self.good_header())

@@ -121,6 +121,38 @@ TEST(WorkloadHistoryTest, SaveAndLoadRoundTrip) {
   EXPECT_EQ(loaded.TableSnapshot("u").columns.at(7).touches, 1u);
 }
 
+TEST(WorkloadHistoryTest, EveryByteTableNameRoundTrips) {
+  const std::string path = TempPath(".history");
+  std::string name;
+  for (int b = 1; b < 256; ++b) name += static_cast<char>(b);
+  WorkloadHistory history;
+  history.Observe(Event(1, name, {3}));
+  ASSERT_TRUE(history.SaveToFile(path).ok());
+
+  WorkloadHistory loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  EXPECT_EQ(loaded.TableSnapshot(name).queries, 1u);
+  EXPECT_EQ(loaded.TableSnapshot(name).columns.at(3).touches, 1u);
+}
+
+// Snapshots written before the shared codec used lower-case hex; a '%' not
+// followed by two hex digits is literal text.
+TEST(WorkloadHistoryTest, LoadsLowerCaseEscapesAndKeepsMalformedOnesLiteral) {
+  const std::string path = TempPath(".history");
+  ASSERT_TRUE(AtomicWriteFile(path,
+                              "scanraw-history v1\n"
+                              "meta last_seq=4 events=4\n"
+                              "table t%20one%0a queries=3 last_seq=4\n"
+                              "col t%20one%0a 2 touches=3 last_seq=4\n"
+                              "table a%4z queries=1 last_seq=1\n")
+                  .ok());
+  WorkloadHistory loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  EXPECT_EQ(loaded.TableSnapshot("t one\n").queries, 3u);
+  EXPECT_EQ(loaded.TableSnapshot("t one\n").columns.at(2).touches, 3u);
+  EXPECT_EQ(loaded.TableSnapshot("a%4z").queries, 1u);
+}
+
 TEST(WorkloadHistoryTest, LoadDropsTornTrailingLine) {
   const std::string path = TempPath(".history");
   WorkloadHistory history;

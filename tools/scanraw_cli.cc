@@ -452,8 +452,11 @@ void PrintRates(obs::Telemetry* telemetry, int64_t window_nanos) {
   for (const obs::TimeSeries::RateRow& row :
        telemetry->timeseries().Rates(window_nanos)) {
     if (row.kind != obs::TimeSeries::Kind::kCounter) continue;
-    line += StringPrintf(" %s=%.1f/s", row.name.c_str(),
-                         row.rate_defined ? row.rate_per_sec : 0.0);
+    // A ring with one point has no rate yet: print it as unknown, not as
+    // an idle 0.0/s.
+    line += " " + row.name +
+            (row.rate_defined ? StringPrintf("=%.1f/s", row.rate_per_sec)
+                              : std::string("=?/s"));
   }
   double hit_rate = 0.0;
   if (telemetry->timeseries().CacheHitRate(window_nanos, &hit_rate)) {

@@ -58,6 +58,10 @@ timed-wait       CondVar WaitFor calls in src/ non-test code outside
                  wake-up fix); the one such loop is obs::PeriodicThread, so
                  new periodic work is a tick on it. The rate limiter's wait
                  is a token-bucket refill deadline, not a period.
+json-decode      A JSON \\u escape decoder (`case 'u'`) in src/ non-test
+                 code outside common/json.cc. Documents the program writes
+                 and reads back go through the one scanraw::JsonReader
+                 (common/json.h), so a mutation driver covers one decoder.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -142,6 +146,10 @@ TIMED_WAIT_EXEMPT = ("obs/periodic_thread.cc", "io/rate_limiter.cc")
 TIMED_WAIT_RE = re.compile(r"(?:\.|->)\s*WaitFor\s*\(")
 
 # byte-loop: hot-path directories where per-byte scan loops are banned.
+# json-decode: the shared reader is the one JSON string decoder.
+JSON_DECODE_EXEMPT = ("common/json.cc",)
+JSON_DECODE_RE = re.compile(r"\bcase\s*'u'\s*:")
+
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
 # A `for` header that advances one element at a time.
 FOR_INCREMENT_RE = re.compile(r"\bfor\s*\([^)]*\+\+")
@@ -437,6 +445,18 @@ def check_timed_wait(rel, lines, findings):
                              "(obs/periodic_thread.h)"))
 
 
+def check_json_decode(rel, lines, findings):
+    if any(rel.replace(os.sep, "/").endswith(e) for e in JSON_DECODE_EXEMPT):
+        return
+    for i, line in enumerate(lines):
+        if JSON_DECODE_RE.search(strip_comments(line)) and \
+                not is_suppressed(lines, i, "json-decode"):
+            findings.append((rel, i + 1, "json-decode",
+                             "JSON \\u escape decoder outside common/json.cc; "
+                             "read JSON with scanraw::JsonReader "
+                             "(common/json.h)"))
+
+
 def is_test_file(rel):
     base = os.path.basename(rel)
     return ("test" in base) or ("/tests/" in rel.replace(os.sep, "/"))
@@ -461,6 +481,7 @@ def lint_file(path, findings):
         check_mutex_rank(rel, lines, findings)
         check_condvar_wait_loop(rel, lines, findings)
         check_timed_wait(rel, lines, findings)
+        check_json_decode(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
