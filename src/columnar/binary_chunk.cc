@@ -15,20 +15,6 @@ Status BinaryChunk::AddColumn(size_t col, ColumnVector vector) {
   return Status::OK();
 }
 
-Status BinaryChunk::MergeColumnsFrom(const BinaryChunk& other) {
-  if (other.chunk_index_ != chunk_index_) {
-    return Status::InvalidArgument("merging chunks with different indexes");
-  }
-  if (other.num_rows_ != num_rows_ && num_rows_ != 0 && other.num_rows_ != 0) {
-    return Status::InvalidArgument("merging chunks with different row counts");
-  }
-  if (num_rows_ == 0) num_rows_ = other.num_rows_;
-  for (const auto& [id, vec] : other.columns_) {
-    if (!columns_.count(id)) columns_[id] = vec;
-  }
-  return Status::OK();
-}
-
 size_t BinaryChunk::MemoryBytes() const {
   size_t total = sizeof(*this);
   for (const auto& [_, vec] : columns_) total += vec.MemoryBytes();

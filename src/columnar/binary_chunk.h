@@ -42,11 +42,6 @@ class BinaryChunk {
   // Requires HasColumn(col).
   const ColumnVector& column(size_t col) const { return columns_.at(col); }
 
-  // Merges columns from `other` (same chunk_index / row count) into this
-  // chunk; used when a query needs columns from both the database and the
-  // raw file.
-  Status MergeColumnsFrom(const BinaryChunk& other);
-
   // Hands every column's backing buffers to `source` for reuse (see
   // ChunkBufferPool::WrapChunk); the chunk is empty afterwards.
   void ReleaseBuffersTo(ColumnBufferSource* source) {

@@ -1,7 +1,5 @@
 #include "db/sketches.h"
 
-#include "columnar/chunk_serde.h"
-
 namespace scanraw {
 
 namespace {
@@ -32,8 +30,19 @@ void KmvSketch::AddInt(int64_t value) {
   AddHash(MixHash(static_cast<uint64_t>(value)));
 }
 
+// Fnv1a, 64-bit. The one FNV in the program: here it is a hash function
+// whose outputs spread over the KMV range, not a checksum of stored bytes.
+uint64_t KmvSketch::StringHash(std::string_view value) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : value) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 void KmvSketch::AddString(std::string_view value) {
-  AddHash(Fnv1aHash(value));
+  AddHash(StringHash(value));
 }
 
 double KmvSketch::EstimateDistinct() const {

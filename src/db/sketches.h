@@ -31,6 +31,10 @@ class KmvSketch {
   void AddInt(int64_t value);
   void AddString(std::string_view value);
 
+  // The hash AddString applies: 64-bit FNV-1a, a hash function for distinct
+  // counting, not a checksum (persisted bytes use Crc32c).
+  static uint64_t StringHash(std::string_view value);
+
   // Estimated number of distinct values added so far.
   double EstimateDistinct() const;
 

@@ -1,5 +1,8 @@
 #include "db/storage_manager.h"
 
+#include <algorithm>
+#include <set>
+
 #include "columnar/chunk_serde.h"
 #include "common/clock.h"
 #include "common/string_util.h"
@@ -35,19 +38,14 @@ StorageManager::StorageManager(std::string path,
 
 Result<StoredSegment> StorageManager::WriteSegment(
     const BinaryChunk& chunk, const std::vector<size_t>& columns) {
-  BinaryChunk subset(chunk.chunk_index());
-  subset.set_num_rows(chunk.num_rows());
-  for (size_t col : columns) {
-    if (!chunk.HasColumn(col)) {
-      return Status::InvalidArgument(
-          StringPrintf("chunk lacks column %zu", col));
-    }
-    SCANRAW_RETURN_IF_ERROR(subset.AddColumn(col, chunk.column(col)));
-  }
+  std::vector<size_t> page_columns(columns);
+  std::sort(page_columns.begin(), page_columns.end());
+  page_columns.erase(std::unique(page_columns.begin(), page_columns.end()),
+                     page_columns.end());
   std::string blob;
   const int64_t t0 = RealClock::Instance()->NowNanos();
-  SCANRAW_RETURN_IF_ERROR(
-      SerializeChunk(subset, &blob, compress_.load(std::memory_order_relaxed)));
+  SCANRAW_RETURN_IF_ERROR(SerializeChunk(
+      chunk, page_columns, &blob, compress_.load(std::memory_order_relaxed)));
 
   MutexLock lock(write_mu_);
   StoredSegment segment;
@@ -83,25 +81,34 @@ Status StorageManager::Sync() {
   return writer_->Sync();
 }
 
-Result<BinaryChunk> StorageManager::ReadSegment(const PageRef& page) const {
+Result<std::string> StorageManager::ReadRange(uint64_t offset,
+                                              uint64_t size) const {
+  RandomAccessFile* reader = nullptr;
   {
     MutexLock lock(reader_mu_);
     if (reader_ == nullptr) {
-      auto reader = RandomAccessFile::Open(path_, limiter_, stats_);
-      if (!reader.ok()) return reader.status();
-      reader_ = std::move(*reader);
+      auto opened = RandomAccessFile::Open(path_, limiter_, stats_);
+      if (!opened.ok()) return opened.status();
+      reader_ = std::move(*opened);
     }
+    reader = reader_.get();
   }
-  std::string blob(page.size, '\0');
-  auto n = reader_->ReadAt(page.offset, page.size, blob.data());
+  std::string bytes(size, '\0');
+  auto n = reader->ReadAt(offset, size, bytes.data());
   if (!n.ok()) return n.status();
-  if (*n != page.size) {
+  if (*n != size) {
     return Status::Corruption(StringPrintf(
-        "short read of segment at %llu: got %zu of %llu bytes",
-        static_cast<unsigned long long>(page.offset), *n,
-        static_cast<unsigned long long>(page.size)));
+        "short read at %llu: got %zu of %llu bytes",
+        static_cast<unsigned long long>(offset), *n,
+        static_cast<unsigned long long>(size)));
   }
-  return DeserializeChunk(blob);
+  return bytes;
+}
+
+Result<BinaryChunk> StorageManager::ReadSegment(const PageRef& page) const {
+  auto blob = ReadRange(page.offset, page.size);
+  if (!blob.ok()) return blob.status();
+  return DeserializeChunk(*blob);
 }
 
 Status StorageManager::VerifySegment(const PageRef& page) const {
@@ -112,8 +119,15 @@ Status StorageManager::VerifySegment(const PageRef& page) const {
         static_cast<unsigned long long>(page.size),
         static_cast<unsigned long long>(bytes_written())));
   }
-  auto chunk = ReadSegment(page);
-  return chunk.ok() ? Status::OK() : chunk.status();
+  auto blob = ReadRange(page.offset, page.size);
+  if (!blob.ok()) return blob.status();
+  auto header = ParseSegmentHeader(*blob, blob->size());
+  if (!header.ok()) return header.status();
+  for (const ColumnExtent& e : header->columns) {
+    SCANRAW_RETURN_IF_ERROR(
+        VerifyColumn(e, std::string_view(*blob).substr(e.offset, e.length)));
+  }
+  return Status::OK();
 }
 
 Result<BinaryChunk> StorageManager::ReadChunkColumns(
@@ -127,21 +141,51 @@ Result<BinaryChunk> StorageManager::ReadChunkColumns(
   std::set<size_t> needed(columns.begin(), columns.end());
   for (const StoredSegment& seg : chunk_meta.segments) {
     if (needed.empty()) break;
-    bool relevant = false;
-    for (size_t c : seg.columns) {
-      if (needed.count(c)) {
-        relevant = true;
-        break;
-      }
+    const std::set<size_t> seg_columns(seg.columns.begin(), seg.columns.end());
+    if (std::none_of(seg_columns.begin(), seg_columns.end(),
+                     [&](size_t c) { return needed.count(c) > 0; })) {
+      continue;
     }
-    if (!relevant) continue;
-    auto part = ReadSegment(seg.page);
-    if (!part.ok()) return part.status();
-    SCANRAW_RETURN_IF_ERROR(merged.MergeColumnsFrom(*part));
-    for (size_t c : seg.columns) needed.erase(c);
+    // One small read for the header, sized from the catalog's column list.
+    auto head = ReadRange(
+        seg.page.offset,
+        std::min<uint64_t>(seg.page.size,
+                           SegmentHeaderBytes(seg_columns.size())));
+    if (!head.ok()) return head.status();
+    auto header = ParseSegmentHeader(*head, seg.page.size);
+    if (!header.ok()) return header.status();
+    if (header->chunk_index != chunk_meta.chunk_index) {
+      return Status::Corruption(StringPrintf(
+          "segment at %llu holds chunk %llu, catalog expects %llu",
+          static_cast<unsigned long long>(seg.page.offset),
+          static_cast<unsigned long long>(header->chunk_index),
+          static_cast<unsigned long long>(chunk_meta.chunk_index)));
+    }
+    // The projected bodies, in page order, through one coalesced read.
+    std::vector<const ColumnExtent*> wanted;
+    for (const ColumnExtent& e : header->columns) {
+      if (needed.count(e.col) > 0) wanted.push_back(&e);
+    }
+    if (wanted.empty()) continue;
+    const uint64_t begin = wanted.front()->offset;
+    const uint64_t end = wanted.back()->offset + wanted.back()->length;
+    auto bodies = ReadRange(seg.page.offset + begin, end - begin);
+    if (!bodies.ok()) return bodies.status();
+    for (const ColumnExtent* e : wanted) {
+      auto vec = DecodeColumn(
+          *e, header->num_rows,
+          std::string_view(*bodies).substr(e->offset - begin, e->length));
+      if (!vec.ok()) return vec.status();
+      SCANRAW_RETURN_IF_ERROR(merged.AddColumn(e->col, std::move(*vec)));
+      needed.erase(e->col);
+    }
   }
-  // Segments may carry extra columns beyond the requested set; they are kept
-  // since callers address columns by id.
+  if (!needed.empty()) {
+    return Status::Corruption(StringPrintf(
+        "chunk %llu: stored pages lack column %zu the catalog lists",
+        static_cast<unsigned long long>(chunk_meta.chunk_index),
+        *needed.begin()));
+  }
   return merged;
 }
 

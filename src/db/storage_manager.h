@@ -57,13 +57,16 @@ class StorageManager {
   // Reads one segment back. Thread-safe; may run concurrently with writes.
   Result<BinaryChunk> ReadSegment(const PageRef& page) const;
 
-  // Validates that `page` lies entirely inside the file and deserializes
-  // (checksum-verifies) its contents, without keeping the chunk. Restart
-  // reconciliation uses this to detect torn or phantom segments.
+  // Validates that `page` lies entirely inside the file and checks every
+  // byte of it: the header, the directory's bounds and each column's CRC.
+  // Decodes nothing. Restart reconciliation uses this to detect torn or
+  // phantom segments.
   Status VerifySegment(const PageRef& page) const;
 
-  // Reads and merges as many stored segments of `chunk_meta` as needed to
-  // cover `columns` (earliest segments first). Fails with NotFound if some
+  // Reads `columns` of `chunk_meta` from as many of its stored segments as
+  // needed (earliest segments first). Per segment it reads the header, then
+  // the projected column bodies in one read, and checks and decodes only
+  // those: the result holds exactly `columns`. Fails with NotFound if some
   // column is not loaded.
   Result<BinaryChunk> ReadChunkColumns(const ChunkMetadata& chunk_meta,
                                        const std::vector<size_t>& columns) const;
@@ -80,6 +83,9 @@ class StorageManager {
  private:
   StorageManager(std::string path, std::unique_ptr<WritableFile> writer,
                  RateLimiter* limiter, IoStats* stats);
+
+  // Reads exactly `size` bytes at `offset`; a short read is Corruption.
+  Result<std::string> ReadRange(uint64_t offset, uint64_t size) const;
 
   const std::string path_;
   RateLimiter* limiter_;

@@ -2,14 +2,17 @@
 
 #include <cstring>
 
-#include "columnar/chunk_serde.h"  // Fnv1aHash
+#include "common/crc32c.h"
 
 namespace scanraw {
 namespace {
 
 // Bumped whenever the byte layout changes; decoders reject unknown versions
 // (dropping the sidecar is always safe — the maps are rebuildable).
-constexpr std::string_view kMagic = "scanraw-posmap v1\n";
+constexpr std::string_view kMagic = "scanraw-posmap v2\n";
+constexpr size_t kFooterBytes = sizeof(uint32_t);
+// chunk_index u64 | fields u32 | explicit_ends u8 | slots u64
+constexpr size_t kEntryHeaderBytes = 21;
 
 // Decode-side sanity bounds: a corrupt length field must not drive a huge
 // allocation before the checksum gets a chance to reject the record.
@@ -36,6 +39,7 @@ struct Reader {
 
   bool ReadBytes(void* out, size_t n) {
     if (data.size() - pos < n) return false;
+    if (n == 0) return true;  // `out` may be null then
     std::memcpy(out, data.data() + pos, n);
     pos += n;
     return true;
@@ -73,29 +77,26 @@ std::string EncodePosmapSidecar(
     AppendU32(&out, static_cast<uint32_t>(e.map->fields_per_row()));
     out.push_back(e.map->explicit_ends() ? 1 : 0);
     AppendU64(&out, offsets.size());
-    const std::string_view payload(
-        reinterpret_cast<const char*>(offsets.data()),
-        offsets.size() * sizeof(uint32_t));
-    out.append(payload);
-    AppendU64(&out, Fnv1aHash(payload));
+    out.append(reinterpret_cast<const char*>(offsets.data()),
+               offsets.size() * sizeof(uint32_t));
   }
 
-  // Whole-file checksum: catches torn tails the per-entry sums cannot (e.g.
-  // a truncated entry count) and doubles as an end-of-file marker.
-  AppendU64(&out, Fnv1aHash(out));
+  // One whole-file CRC32C, checked before anything is parsed: every byte is
+  // hashed once, and it doubles as an end-of-file marker.
+  AppendU32(&out, Crc32c(out));
   return out;
 }
 
 Result<std::vector<PosmapSidecarEntry>> DecodePosmapSidecar(
     std::string_view data, PosmapSidecarHeader* header) {
-  if (data.size() < kMagic.size() + sizeof(uint64_t) ||
+  if (data.size() < kMagic.size() + kFooterBytes ||
       data.substr(0, kMagic.size()) != kMagic) {
     return Status::Corruption("posmap sidecar: bad magic or version");
   }
-  const std::string_view body = data.substr(0, data.size() - sizeof(uint64_t));
-  uint64_t footer = 0;
+  const std::string_view body = data.substr(0, data.size() - kFooterBytes);
+  uint32_t footer = 0;
   std::memcpy(&footer, data.data() + body.size(), sizeof(footer));
-  if (footer != Fnv1aHash(body)) {
+  if (footer != Crc32c(body)) {
     return Status::Corruption("posmap sidecar: file checksum mismatch");
   }
 
@@ -119,7 +120,8 @@ Result<std::vector<PosmapSidecarEntry>> DecodePosmapSidecar(
   header->dialect.delimiter = dialect[0];
   header->dialect.quoted = dialect[1] != 0;
   header->dialect.quote = dialect[2];
-  if (count > kMaxEntries) {
+  if (count > kMaxEntries ||
+      count > (body.size() - r.pos) / kEntryHeaderBytes) {
     return Status::Corruption("posmap sidecar: implausible entry count");
   }
 
@@ -139,19 +141,15 @@ Result<std::vector<PosmapSidecarEntry>> DecodePosmapSidecar(
       return Status::Corruption("posmap sidecar: implausible entry size");
     }
     const size_t slots_per_row =
-        explicit_ends != 0 ? 2 * static_cast<size_t>(fields) : fields + 1;
+        explicit_ends != 0 ? 2 * static_cast<size_t>(fields)
+                           : static_cast<size_t>(fields) + 1;
     if (slots % slots_per_row != 0) {
       return Status::Corruption("posmap sidecar: entry shape mismatch");
     }
-    const std::string_view payload(body.data() + r.pos,
-                                   slots * sizeof(uint32_t));
-    r.pos += payload.size();
-    uint64_t sum = 0;
-    if (!r.ReadU64(&sum) || sum != Fnv1aHash(payload)) {
-      return Status::Corruption("posmap sidecar: entry checksum mismatch");
-    }
     std::vector<uint32_t> offsets(slots);
-    std::memcpy(offsets.data(), payload.data(), payload.size());
+    if (!r.ReadBytes(offsets.data(), slots * sizeof(uint32_t))) {
+      return Status::Corruption("posmap sidecar: truncated entry");
+    }
     entries.push_back(PosmapSidecarEntry{
         chunk_index,
         std::make_shared<const PositionalMap>(PositionalMap::FromOffsets(

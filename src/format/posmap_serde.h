@@ -5,8 +5,9 @@
 // The format is versioned and checksummed: a magic line, a binary header
 // recording the *exact* stat of the raw file (size + mtime in nanoseconds)
 // and the tokenize dialect the maps were built under, then one record per
-// chunk (each with its own FNV-1a checksum over the offset payload), and a
-// whole-file FNV-1a footer. A sidecar whose stat or dialect no longer
+// chunk, and a whole-file CRC32C footer that is checked before anything is
+// parsed (format v2; a v1 sidecar reads as Corruption and is dropped). A
+// sidecar whose stat or dialect no longer
 // matches the live table is stale and must be dropped, never reused — a
 // positional map is only meaningful against the byte-identical raw file and
 // the same delimiter/quote rules it was built from.

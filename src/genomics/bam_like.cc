@@ -1,8 +1,9 @@
 #include "genomics/bam_like.h"
 
+#include <algorithm>
 #include <cstring>
 
-#include "columnar/chunk_serde.h"
+#include "common/crc32c.h"
 #include "common/string_util.h"
 #include "io/rate_limiter.h"
 
@@ -10,7 +11,10 @@ namespace scanraw {
 
 namespace {
 
-constexpr uint32_t kBamMagic = 0x4D414253;  // "SBAM"
+// "SBM2": the format version whose block frames carry a CRC32C.
+constexpr uint32_t kBamMagic = 0x324D4253;
+// Block frame: payload bytes u32 | record count u32 | CRC32C of payload u32.
+constexpr size_t kFrameBytes = 12;
 
 // --------------------------------------------------------------- varints --
 
@@ -53,7 +57,7 @@ void PutString(std::string* out, const std::string& s) {
 bool GetString(const std::string& data, size_t* pos, std::string* s) {
   uint64_t len = 0;
   if (!GetVarint(data, pos, &len)) return false;
-  if (*pos + len > data.size()) return false;
+  if (len > data.size() - *pos) return false;
   s->assign(data, *pos, len);
   *pos += len;
   return true;
@@ -95,6 +99,8 @@ void PackSeq(std::string* out, const std::string& seq) {
 bool UnpackSeq(const std::string& data, size_t* pos, std::string* seq) {
   uint64_t len = 0;
   if (!GetVarint(data, pos, &len)) return false;
+  // Bound len before len + 3 below can wrap.
+  if (len / 4 > data.size() - *pos) return false;
   const size_t bytes = (len + 3) / 4;
   if (*pos + bytes > data.size()) return false;
   seq->clear();
@@ -121,9 +127,14 @@ void RlePack(std::string* out, const std::string& qual) {
   }
 }
 
-bool RleUnpack(const std::string& data, size_t* pos, std::string* qual) {
+// `max_len` is the read's SEQ length: as in SAM, QUAL is either that long
+// or the one-character "*". The bound keeps a corrupt length (runs expand
+// up to 127x) from growing QUAL past what the block's SEQ backs.
+bool RleUnpack(const std::string& data, size_t* pos, uint64_t max_len,
+               std::string* qual) {
   uint64_t len = 0;
   if (!GetVarint(data, pos, &len)) return false;
+  if (len > std::max<uint64_t>(max_len, 1)) return false;
   qual->clear();
   qual->reserve(len);
   while (qual->size() < len) {
@@ -202,7 +213,7 @@ bool DecodeRecord(const std::string& data, size_t* pos, SamRecord* r) {
   if (!GetVarint(data, pos, &pnext)) return false;
   if (!GetVarint(data, pos, &tlen)) return false;
   if (!UnpackSeq(data, pos, &r->seq)) return false;
-  if (!RleUnpack(data, pos, &r->qual)) return false;
+  if (!RleUnpack(data, pos, r->seq.size(), &r->qual)) return false;
   r->flag = static_cast<uint32_t>(flag);
   r->pos = static_cast<uint32_t>(posv);
   r->mapq = static_cast<uint32_t>(mapq);
@@ -238,8 +249,8 @@ Result<BamFileInfo> GenerateBamFile(const std::string& path,
     const uint32_t payload = static_cast<uint32_t>(block.size());
     framed.append(reinterpret_cast<const char*>(&payload), 4);
     framed.append(reinterpret_cast<const char*>(&block_count), 4);
-    const uint64_t checksum = Fnv1aHash(block);
-    framed.append(reinterpret_cast<const char*>(&checksum), 8);
+    const uint32_t checksum = Crc32c(block);
+    framed.append(reinterpret_cast<const char*>(&checksum), 4);
     framed.append(block);
     block.clear();
     block_count = 0;
@@ -284,23 +295,26 @@ BamReader::BamReader(std::unique_ptr<RandomAccessFile> file,
     : file_(std::move(file)), num_reads_(num_reads), file_pos_(12) {}
 
 Status BamReader::LoadNextBlock() {
-  char frame[16];
+  char frame[kFrameBytes];
   auto n = file_->ReadAt(file_pos_, sizeof(frame), frame);
   if (!n.ok()) return n.status();
   if (*n == 0) return Status::NotFound("end of file");
   if (*n != sizeof(frame)) return Status::Corruption("BAM block truncated");
-  uint32_t payload = 0, records = 0;
-  uint64_t checksum = 0;
+  uint32_t payload = 0, records = 0, checksum = 0;
   std::memcpy(&payload, frame, 4);
   std::memcpy(&records, frame + 4, 4);
-  std::memcpy(&checksum, frame + 8, 8);
+  std::memcpy(&checksum, frame + 8, 4);
   file_pos_ += sizeof(frame);
+  // A corrupt length must not size the buffer past the end of the file.
+  if (payload > file_->size() - std::min(file_->size(), file_pos_)) {
+    return Status::Corruption("BAM payload truncated");
+  }
   block_.resize(payload);
   auto body = file_->ReadAt(file_pos_, payload, block_.data());
   if (!body.ok()) return body.status();
   if (*body != payload) return Status::Corruption("BAM payload truncated");
   file_pos_ += payload;
-  if (Fnv1aHash(block_) != checksum) {
+  if (Crc32c(block_) != checksum) {
     return Status::Corruption("BAM block checksum mismatch");
   }
   // XOR is symmetric and the keystream is position-driven, so decoding
@@ -378,7 +392,7 @@ Result<BamIndex> WriteBamIndex(const std::string& bam_path) {
   uint64_t first_record = 0;
   uint64_t chain_state = 0;
   while (true) {
-    char frame[16];
+    char frame[kFrameBytes];
     auto got = (*file)->ReadAt(pos, sizeof(frame), frame);
     if (!got.ok()) return got.status();
     if (*got == 0) break;

@@ -4,23 +4,10 @@
 #include <cstdio>
 
 #include "common/json.h"
+#include "common/string_util.h"
 
 namespace scanraw {
 namespace obs {
-
-namespace {
-
-std::string Fmt(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-std::string U64(uint64_t v) {
-  return std::to_string(static_cast<unsigned long long>(v));
-}
-
-}  // namespace
 
 void ExplainReport::FillFromProfile(const SpanProfiler::Report& report) {
   wall_seconds = static_cast<double>(report.wall_nanos) * 1e-9;
@@ -54,7 +41,7 @@ void ExplainReport::FillFromProfile(const SpanProfiler::Report& report) {
 std::string ExplainReport::ToText() const {
   std::string out;
   out += "EXPLAIN ANALYZE  table=" + table + "  policy=" + policy + "\n";
-  out += "  wall " + Fmt("%.4f", wall_seconds) + " s, " +
+  out += "  wall " + StringPrintf("%.4f", wall_seconds) + " s, " +
          std::to_string(workers) + " workers, " +
          std::to_string(threads_accounted) + " threads accounted\n";
 
@@ -73,44 +60,44 @@ std::string ExplainReport::ToText() const {
                   s.is_wait ? "  (blocked)" : "");
     out += line;
   }
-  out += "  accounting: busy " + Fmt("%.4f", busy_seconds_total) +
-         " s + blocked " + Fmt("%.4f", blocked_seconds_total) + " s + idle " +
-         Fmt("%.4f", idle_seconds_total) + " s = wall x threads\n";
+  out += "  accounting: busy " + StringPrintf("%.4f", busy_seconds_total) +
+         " s + blocked " + StringPrintf("%.4f", blocked_seconds_total) + " s + idle " +
+         StringPrintf("%.4f", idle_seconds_total) + " s = wall x threads\n";
   out += "  critical path: " + critical_stage + " (" +
-         Fmt("%.4f", critical_seconds) + " s, " +
-         Fmt("%.1f", 100.0 * critical_fraction) + "% of wall)\n";
-  out += "  chunks: cache=" + U64(chunks_from_cache) +
-         " db=" + U64(chunks_from_db) + " raw=" + U64(chunks_from_raw) +
-         " skipped=" + U64(chunks_skipped) +
-         " written=" + U64(chunks_written) + "\n";
-  out += "  speculative: triggers=" + U64(speculative_triggers) +
-         " read-blocked=" + U64(read_blocked_events) +
-         " bytes-written=" + U64(bytes_written) + " paid-off=" +
+         StringPrintf("%.4f", critical_seconds) + " s, " +
+         StringPrintf("%.1f", 100.0 * critical_fraction) + "% of wall)\n";
+  out += "  chunks: cache=" + std::to_string(chunks_from_cache) +
+         " db=" + std::to_string(chunks_from_db) + " raw=" + std::to_string(chunks_from_raw) +
+         " skipped=" + std::to_string(chunks_skipped) +
+         " written=" + std::to_string(chunks_written) + "\n";
+  out += "  speculative: triggers=" + std::to_string(speculative_triggers) +
+         " read-blocked=" + std::to_string(read_blocked_events) +
+         " bytes-written=" + std::to_string(bytes_written) + " paid-off=" +
          (speculation_paid_off ? "yes" : "no") + "\n";
   if (bytes_written > 0 || advisor_used) {
-    out += "  write budget: useful-bytes=" + U64(useful_bytes_written) +
-           " efficiency=" + Fmt("%.1f", 100.0 * WriteEfficiency()) + "%\n";
+    out += "  write budget: useful-bytes=" + std::to_string(useful_bytes_written) +
+           " efficiency=" + StringPrintf("%.1f", 100.0 * WriteEfficiency()) + "%\n";
   }
-  out += "  tokenize: ranges=" + U64(tokenize_ranges) +
-         " misspeculations=" + U64(tokenize_misspeculations) +
-         " repair-bytes=" + U64(tokenize_repair_bytes) +
-         " bytes=" + U64(bytes_tokenized) + "\n";
+  out += "  tokenize: ranges=" + std::to_string(tokenize_ranges) +
+         " misspeculations=" + std::to_string(tokenize_misspeculations) +
+         " repair-bytes=" + std::to_string(tokenize_repair_bytes) +
+         " bytes=" + std::to_string(bytes_tokenized) + "\n";
   if (advisor_used) {
     out += "  " + (advisor_note.empty() ? std::string("advisor: (no note)")
                                         : advisor_note) +
            "\n";
   }
-  out += "  chunk cache: hits=" + U64(cache_hits) +
-         " misses=" + U64(cache_misses) + " rate=" +
-         Fmt("%.1f", 100.0 * HitRate(cache_hits, cache_misses)) + "%\n";
-  out += "  positional map: hits=" + U64(posmap_hits) +
-         " misses=" + U64(posmap_misses) +
-         " posmap-disk=" + U64(posmap_disk_hits) + " rate=" +
-         Fmt("%.1f", 100.0 * HitRate(posmap_hits, posmap_misses)) + "%\n";
-  out += "  loaded: " + Fmt("%.1f", 100.0 * loaded_fraction_before) +
-         "% -> " + Fmt("%.1f", 100.0 * loaded_fraction_after) + "%\n";
+  out += "  chunk cache: hits=" + std::to_string(cache_hits) +
+         " misses=" + std::to_string(cache_misses) + " rate=" +
+         StringPrintf("%.1f", 100.0 * HitRate(cache_hits, cache_misses)) + "%\n";
+  out += "  positional map: hits=" + std::to_string(posmap_hits) +
+         " misses=" + std::to_string(posmap_misses) +
+         " posmap-disk=" + std::to_string(posmap_disk_hits) + " rate=" +
+         StringPrintf("%.1f", 100.0 * HitRate(posmap_hits, posmap_misses)) + "%\n";
+  out += "  loaded: " + StringPrintf("%.1f", 100.0 * loaded_fraction_before) +
+         "% -> " + StringPrintf("%.1f", 100.0 * loaded_fraction_after) + "%\n";
   if (spans_dropped > 0) {
-    out += "  (" + U64(spans_dropped) +
+    out += "  (" + std::to_string(spans_dropped) +
            " spans dropped by the profiler cap; busy totals still include "
            "them)\n";
   }
@@ -121,7 +108,7 @@ std::string ExplainReport::ToJson() const {
   std::string out = "{";
   out += "\"table\":\"" + JsonEscape(table) + "\"";
   out += ",\"policy\":\"" + JsonEscape(policy) + "\"";
-  out += ",\"wall_seconds\":" + Fmt("%.9g", wall_seconds);
+  out += ",\"wall_seconds\":" + StringPrintf("%.9g", wall_seconds);
   out += ",\"workers\":" + std::to_string(workers);
   out += ",\"threads_accounted\":" + std::to_string(threads_accounted);
   out += ",\"stages\":[";
@@ -130,48 +117,48 @@ std::string ExplainReport::ToJson() const {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"" + JsonEscape(s.name) + "\"";
-    out += ",\"busy_seconds\":" + Fmt("%.9g", s.busy_seconds);
-    out += ",\"covered_seconds\":" + Fmt("%.9g", s.covered_seconds);
-    out += ",\"spans\":" + U64(s.spans);
+    out += ",\"busy_seconds\":" + StringPrintf("%.9g", s.busy_seconds);
+    out += ",\"covered_seconds\":" + StringPrintf("%.9g", s.covered_seconds);
+    out += ",\"spans\":" + std::to_string(s.spans);
     out += ",\"threads\":" + std::to_string(s.threads);
     out += ",\"is_wait\":" + std::string(s.is_wait ? "true" : "false");
     out += "}";
   }
   out += "]";
   out += ",\"critical_path\":{\"stage\":\"" + JsonEscape(critical_stage) +
-         "\",\"covered_seconds\":" + Fmt("%.9g", critical_seconds) +
-         ",\"fraction_of_wall\":" + Fmt("%.9g", critical_fraction) + "}";
-  out += ",\"busy_seconds_total\":" + Fmt("%.9g", busy_seconds_total);
-  out += ",\"blocked_seconds_total\":" + Fmt("%.9g", blocked_seconds_total);
-  out += ",\"idle_seconds_total\":" + Fmt("%.9g", idle_seconds_total);
-  out += ",\"chunks\":{\"from_cache\":" + U64(chunks_from_cache) +
-         ",\"from_db\":" + U64(chunks_from_db) +
-         ",\"from_raw\":" + U64(chunks_from_raw) +
-         ",\"skipped\":" + U64(chunks_skipped) +
-         ",\"written\":" + U64(chunks_written) + "}";
-  out += ",\"speculative\":{\"triggers\":" + U64(speculative_triggers) +
-         ",\"read_blocked_events\":" + U64(read_blocked_events) +
-         ",\"bytes_written\":" + U64(bytes_written) +
-         ",\"useful_bytes_written\":" + U64(useful_bytes_written) +
-         ",\"write_efficiency\":" + Fmt("%.9g", WriteEfficiency()) +
+         "\",\"covered_seconds\":" + StringPrintf("%.9g", critical_seconds) +
+         ",\"fraction_of_wall\":" + StringPrintf("%.9g", critical_fraction) + "}";
+  out += ",\"busy_seconds_total\":" + StringPrintf("%.9g", busy_seconds_total);
+  out += ",\"blocked_seconds_total\":" + StringPrintf("%.9g", blocked_seconds_total);
+  out += ",\"idle_seconds_total\":" + StringPrintf("%.9g", idle_seconds_total);
+  out += ",\"chunks\":{\"from_cache\":" + std::to_string(chunks_from_cache) +
+         ",\"from_db\":" + std::to_string(chunks_from_db) +
+         ",\"from_raw\":" + std::to_string(chunks_from_raw) +
+         ",\"skipped\":" + std::to_string(chunks_skipped) +
+         ",\"written\":" + std::to_string(chunks_written) + "}";
+  out += ",\"speculative\":{\"triggers\":" + std::to_string(speculative_triggers) +
+         ",\"read_blocked_events\":" + std::to_string(read_blocked_events) +
+         ",\"bytes_written\":" + std::to_string(bytes_written) +
+         ",\"useful_bytes_written\":" + std::to_string(useful_bytes_written) +
+         ",\"write_efficiency\":" + StringPrintf("%.9g", WriteEfficiency()) +
          ",\"paid_off\":" + (speculation_paid_off ? "true" : "false") + "}";
-  out += ",\"tokenize\":{\"ranges\":" + U64(tokenize_ranges) +
-         ",\"misspeculations\":" + U64(tokenize_misspeculations) +
-         ",\"repair_bytes\":" + U64(tokenize_repair_bytes) +
-         ",\"bytes\":" + U64(bytes_tokenized) + "}";
+  out += ",\"tokenize\":{\"ranges\":" + std::to_string(tokenize_ranges) +
+         ",\"misspeculations\":" + std::to_string(tokenize_misspeculations) +
+         ",\"repair_bytes\":" + std::to_string(tokenize_repair_bytes) +
+         ",\"bytes\":" + std::to_string(bytes_tokenized) + "}";
   out += ",\"advisor\":{\"used\":" +
          std::string(advisor_used ? "true" : "false") + ",\"note\":\"" +
          JsonEscape(advisor_note) + "\"}";
-  out += ",\"chunk_cache\":{\"hits\":" + U64(cache_hits) +
-         ",\"misses\":" + U64(cache_misses) + ",\"hit_rate\":" +
-         Fmt("%.9g", HitRate(cache_hits, cache_misses)) + "}";
-  out += ",\"positional_map\":{\"hits\":" + U64(posmap_hits) +
-         ",\"misses\":" + U64(posmap_misses) +
-         ",\"disk_hits\":" + U64(posmap_disk_hits) + ",\"hit_rate\":" +
-         Fmt("%.9g", HitRate(posmap_hits, posmap_misses)) + "}";
-  out += ",\"loaded_fraction_before\":" + Fmt("%.9g", loaded_fraction_before);
-  out += ",\"loaded_fraction_after\":" + Fmt("%.9g", loaded_fraction_after);
-  out += ",\"spans_dropped\":" + U64(spans_dropped);
+  out += ",\"chunk_cache\":{\"hits\":" + std::to_string(cache_hits) +
+         ",\"misses\":" + std::to_string(cache_misses) + ",\"hit_rate\":" +
+         StringPrintf("%.9g", HitRate(cache_hits, cache_misses)) + "}";
+  out += ",\"positional_map\":{\"hits\":" + std::to_string(posmap_hits) +
+         ",\"misses\":" + std::to_string(posmap_misses) +
+         ",\"disk_hits\":" + std::to_string(posmap_disk_hits) + ",\"hit_rate\":" +
+         StringPrintf("%.9g", HitRate(posmap_hits, posmap_misses)) + "}";
+  out += ",\"loaded_fraction_before\":" + StringPrintf("%.9g", loaded_fraction_before);
+  out += ",\"loaded_fraction_after\":" + StringPrintf("%.9g", loaded_fraction_after);
+  out += ",\"spans_dropped\":" + std::to_string(spans_dropped);
   out += "}";
   return out;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 #include "common/json.h"
+#include "common/string_util.h"
 
 namespace scanraw {
 namespace obs {
@@ -22,11 +22,6 @@ void BucketBounds(size_t b, uint64_t* lo, uint64_t* hi) {
   *hi = (b == 64) ? UINT64_MAX : (uint64_t{1} << b) - 1;
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -182,10 +177,10 @@ std::string MetricsRegistry::ToJson() const {
     out += ",\"sum\":" + std::to_string(h->sum());
     out += ",\"min\":" + std::to_string(h->min());
     out += ",\"max\":" + std::to_string(h->max());
-    out += ",\"mean\":" + FormatDouble(h->mean());
-    out += ",\"p50\":" + FormatDouble(h->Quantile(0.50));
-    out += ",\"p95\":" + FormatDouble(h->Quantile(0.95));
-    out += ",\"p99\":" + FormatDouble(h->Quantile(0.99));
+    out += ",\"mean\":" + StringPrintf("%.6g", h->mean());
+    out += ",\"p50\":" + StringPrintf("%.6g", h->Quantile(0.50));
+    out += ",\"p95\":" + StringPrintf("%.6g", h->Quantile(0.95));
+    out += ",\"p99\":" + StringPrintf("%.6g", h->Quantile(0.99));
     out += "}";
   }
   out += "}}";
@@ -203,10 +198,10 @@ std::string MetricsRegistry::ToText() const {
   }
   for (const auto& [name, h] : histograms_) {
     out += name + "{count=" + std::to_string(h->count()) +
-           ",mean=" + FormatDouble(h->mean()) +
-           ",p50=" + FormatDouble(h->Quantile(0.50)) +
-           ",p95=" + FormatDouble(h->Quantile(0.95)) +
-           ",p99=" + FormatDouble(h->Quantile(0.99)) +
+           ",mean=" + StringPrintf("%.6g", h->mean()) +
+           ",p50=" + StringPrintf("%.6g", h->Quantile(0.50)) +
+           ",p95=" + StringPrintf("%.6g", h->Quantile(0.95)) +
+           ",p99=" + StringPrintf("%.6g", h->Quantile(0.99)) +
            ",max=" + std::to_string(h->max()) + "}\n";
   }
   return out;

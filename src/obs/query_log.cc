@@ -1,10 +1,10 @@
 #include "obs/query_log.h"
 
 #include <chrono>
-#include <cstdio>
 #include <variant>
 
 #include "common/json.h"
+#include "common/string_util.h"
 #include "io/fault_injection.h"
 
 namespace scanraw {
@@ -14,16 +14,6 @@ namespace {
 
 constexpr int kLogVersion = 1;
 constexpr std::string_view kHeaderKey = "scanraw_query_log";
-
-std::string Fmt(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-std::string U64(uint64_t v) {
-  return std::to_string(static_cast<unsigned long long>(v));
-}
 
 std::string SizeArray(const std::vector<size_t>& v) {
   std::string out = "[";
@@ -108,33 +98,33 @@ uint64_t HeaderVersion(std::string_view line) {
 
 std::string QueryLogEvent::ToJsonLine() const {
   std::string out = "{";
-  out += "\"seq\":" + U64(seq);
+  out += "\"seq\":" + std::to_string(seq);
   out += ",\"ts_unix_micros\":" + std::to_string(ts_unix_micros);
   out += ",\"table\":\"" + JsonEscape(table) + "\"";
   out += ",\"policy\":\"" + JsonEscape(policy) + "\"";
   out += ",\"status\":\"" + JsonEscape(status) + "\"";
-  out += ",\"wall_seconds\":" + Fmt("%.9g", wall_seconds);
+  out += ",\"wall_seconds\":" + StringPrintf("%.9g", wall_seconds);
   out += ",\"columns\":" + SizeArray(columns);
   out += ",\"predicate_columns\":" + SizeArray(predicate_columns);
-  out += ",\"rows_scanned\":" + U64(rows_scanned);
-  out += ",\"rows_matched\":" + U64(rows_matched);
+  out += ",\"rows_scanned\":" + std::to_string(rows_scanned);
+  out += ",\"rows_matched\":" + std::to_string(rows_matched);
   out += ",\"stages\":{";
   for (size_t i = 0; i < stage_busy_seconds.size(); ++i) {
     if (i > 0) out += ",";
     out += "\"" + JsonEscape(stage_busy_seconds[i].first) +
-           "\":" + Fmt("%.9g", stage_busy_seconds[i].second);
+           "\":" + StringPrintf("%.9g", stage_busy_seconds[i].second);
   }
   out += "}";
-  out += ",\"chunks\":{\"cache\":" + U64(chunks_from_cache) +
-         ",\"db\":" + U64(chunks_from_db) + ",\"raw\":" + U64(chunks_from_raw) +
-         ",\"skipped\":" + U64(chunks_skipped) +
-         ",\"written\":" + U64(chunks_written) + "}";
-  out += ",\"speculative_triggers\":" + U64(speculative_triggers);
-  out += ",\"bytes_read\":" + U64(bytes_read);
-  out += ",\"bytes_written\":" + U64(bytes_written);
-  out += ",\"useful_bytes_written\":" + U64(useful_bytes_written);
-  out += ",\"cache_hit_rate\":" + Fmt("%.9g", cache_hit_rate);
-  out += ",\"posmap_hit_rate\":" + Fmt("%.9g", posmap_hit_rate);
+  out += ",\"chunks\":{\"cache\":" + std::to_string(chunks_from_cache) +
+         ",\"db\":" + std::to_string(chunks_from_db) + ",\"raw\":" + std::to_string(chunks_from_raw) +
+         ",\"skipped\":" + std::to_string(chunks_skipped) +
+         ",\"written\":" + std::to_string(chunks_written) + "}";
+  out += ",\"speculative_triggers\":" + std::to_string(speculative_triggers);
+  out += ",\"bytes_read\":" + std::to_string(bytes_read);
+  out += ",\"bytes_written\":" + std::to_string(bytes_written);
+  out += ",\"useful_bytes_written\":" + std::to_string(useful_bytes_written);
+  out += ",\"cache_hit_rate\":" + StringPrintf("%.9g", cache_hit_rate);
+  out += ",\"posmap_hit_rate\":" + StringPrintf("%.9g", posmap_hit_rate);
   out += ",\"paid_off\":" + std::string(speculation_paid_off ? "true" : "false");
   out += ",\"advisor_used\":" + std::string(advisor_used ? "true" : "false");
   out += "}";

@@ -7,9 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 
+#include "common/string_util.h"
 #include "obs/log.h"
 #include "obs/telemetry.h"
 #include "obs/watchdog.h"
@@ -24,11 +24,6 @@ constexpr size_t kMaxRequestBytes = 8192;
 // Per-connection read patience; a scraper that stalls longer is dropped.
 constexpr int kClientReadTimeoutMs = 2000;
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 void WriteAll(int fd, const char* data, size_t length) {
   size_t sent = 0;
@@ -262,9 +257,9 @@ std::string StatsServer::RenderMetrics() const {
     // powers of two, not cumulative le-buckets.
     const std::string prom = PrometheusName(h.name);
     out += "# TYPE " + prom + " summary\n";
-    out += prom + "{quantile=\"0.5\"} " + FormatDouble(h.p50) + "\n";
-    out += prom + "{quantile=\"0.95\"} " + FormatDouble(h.p95) + "\n";
-    out += prom + "{quantile=\"0.99\"} " + FormatDouble(h.p99) + "\n";
+    out += prom + "{quantile=\"0.5\"} " + StringPrintf("%.6g", h.p50) + "\n";
+    out += prom + "{quantile=\"0.95\"} " + StringPrintf("%.6g", h.p95) + "\n";
+    out += prom + "{quantile=\"0.99\"} " + StringPrintf("%.6g", h.p99) + "\n";
     out += prom + "_sum " + std::to_string(h.sum) + "\n";
     out += prom + "_count " + std::to_string(h.count) + "\n";
   }
@@ -278,13 +273,13 @@ std::string StatsServer::RenderMetrics() const {
     const std::string prom = PrometheusName(row.name) + "_per_sec";
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " " +
-           FormatDouble(row.rate_defined ? row.rate_per_sec : 0.0) + "\n";
+           StringPrintf("%.6g", row.rate_defined ? row.rate_per_sec : 0.0) + "\n";
   }
   double hit_rate = 0.0;
   if (telemetry->timeseries().CacheHitRate(options_.rate_window_nanos,
                                            &hit_rate)) {
     out += "# TYPE scanraw_cache_hit_rate gauge\n";
-    out += "scanraw_cache_hit_rate " + FormatDouble(hit_rate) + "\n";
+    out += "scanraw_cache_hit_rate " + StringPrintf("%.6g", hit_rate) + "\n";
   }
 
   // Stage liveness from the heartbeat board.
@@ -316,7 +311,7 @@ std::string StatsServer::RenderStatusz() const {
   out += "scanraw statusz\n";
   out += "build: " + options_.build_info + "\n";
   out += "uptime_seconds: " +
-         FormatDouble(static_cast<double>(now - start_nanos_) * 1e-9) + "\n";
+         StringPrintf("%.6g", static_cast<double>(now - start_nanos_) * 1e-9) + "\n";
   out += "stats_requests_served: " + std::to_string(requests_served()) + "\n";
 
   if (options_.watchdog != nullptr) {
@@ -358,11 +353,11 @@ std::string StatsServer::RenderStatusz() const {
     for (const auto& row : rates) {
       out += "  " + row.name + ": ";
       if (row.kind == TimeSeries::Kind::kCounter) {
-        out += row.rate_defined ? FormatDouble(row.rate_per_sec) + "/s"
+        out += row.rate_defined ? StringPrintf("%.6g", row.rate_per_sec) + "/s"
                                 : std::string("(no window yet)");
-        out += "  total=" + FormatDouble(row.latest);
+        out += "  total=" + StringPrintf("%.6g", row.latest);
       } else {
-        out += FormatDouble(row.latest);
+        out += StringPrintf("%.6g", row.latest);
       }
       out += "\n";
     }

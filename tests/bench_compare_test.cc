@@ -129,5 +129,49 @@ TEST(BenchCompareTest, EveryGoldenArtifactParses) {
   EXPECT_GT(parsed, 0);
 }
 
+TEST(BenchCompareTest, DuplicateRowKeysMatchByOccurrence) {
+  auto table =
+      ParseBenchJson("{\"headers\":[\"k\",\"ms\"],"
+                     "\"rows\":[[\"a\",\"1.0\"],[\"a\",\"2.0\"]]}");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const BenchComparison same = CompareBenchTables(*table, *table, 5.0);
+  EXPECT_FALSE(same.has_regression()) << same.ToText();
+  ASSERT_EQ(same.deltas.size(), 2u);
+  for (const BenchDelta& d : same.deltas) EXPECT_EQ(d.delta_pct, 0.0);
+  EXPECT_TRUE(same.unmatched.empty());
+
+  // The second "a" row regresses alone; a third candidate "a" row has no
+  // baseline partner.
+  auto slower = ParseBenchJson(
+      "{\"headers\":[\"k\",\"ms\"],\"rows\":[[\"a\",\"1.0\"],"
+      "[\"a\",\"4.0\"],[\"a\",\"9.0\"]]}");
+  ASSERT_TRUE(slower.ok());
+  const BenchComparison cmp = CompareBenchTables(*table, *slower, 5.0);
+  ASSERT_EQ(cmp.deltas.size(), 2u);
+  EXPECT_EQ(cmp.deltas[0].baseline, 2.0);
+  EXPECT_EQ(cmp.deltas[0].candidate, 4.0);
+  EXPECT_TRUE(cmp.deltas[0].regressed);
+  EXPECT_FALSE(cmp.deltas[1].regressed);
+  EXPECT_EQ(cmp.unmatched,
+            std::vector<std::string>{"row \"a\" missing in baseline"});
+}
+
+TEST(BenchCompareTest, EveryGoldenArtifactMatchesItself) {
+  int compared = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(SCANRAW_SOURCE_DIR) + "/bench/golden")) {
+    if (entry.path().extension() != ".json") continue;
+    auto contents = ReadFileToString(entry.path().string());
+    ASSERT_TRUE(contents.ok()) << entry.path();
+    auto table = ParseBenchJson(*contents);
+    ASSERT_TRUE(table.ok()) << entry.path();
+    const BenchComparison cmp = CompareBenchTables(*table, *table, 5.0);
+    EXPECT_FALSE(cmp.has_regression()) << entry.path() << "\n" << cmp.ToText();
+    EXPECT_TRUE(cmp.unmatched.empty()) << entry.path();
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
 }  // namespace
 }  // namespace scanraw

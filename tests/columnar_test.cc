@@ -79,37 +79,6 @@ TEST(BinaryChunkTest, RowCountMismatchRejected) {
   EXPECT_TRUE(chunk.AddColumn(1, std::move(c1)).IsInvalidArgument());
 }
 
-TEST(BinaryChunkTest, MergeColumns) {
-  BinaryChunk a(3), b(3);
-  ColumnVector c0(FieldType::kUint32);
-  c0.AppendUint32(1);
-  ASSERT_TRUE(a.AddColumn(0, std::move(c0)).ok());
-  ColumnVector c1(FieldType::kInt64);
-  c1.AppendInt64(-9);
-  ASSERT_TRUE(b.AddColumn(1, std::move(c1)).ok());
-  ASSERT_TRUE(a.MergeColumnsFrom(b).ok());
-  EXPECT_TRUE(a.HasColumn(0));
-  EXPECT_TRUE(a.HasColumn(1));
-  EXPECT_EQ(a.column(1).AsInt64()[0], -9);
-}
-
-TEST(BinaryChunkTest, MergeDifferentIndexRejected) {
-  BinaryChunk a(1), b(2);
-  EXPECT_TRUE(a.MergeColumnsFrom(b).IsInvalidArgument());
-}
-
-TEST(BinaryChunkTest, MergeKeepsExistingColumn) {
-  BinaryChunk a(0), b(0);
-  ColumnVector av(FieldType::kUint32);
-  av.AppendUint32(111);
-  ASSERT_TRUE(a.AddColumn(0, std::move(av)).ok());
-  ColumnVector bv(FieldType::kUint32);
-  bv.AppendUint32(222);
-  ASSERT_TRUE(b.AddColumn(0, std::move(bv)).ok());
-  ASSERT_TRUE(a.MergeColumnsFrom(b).ok());
-  EXPECT_EQ(a.column(0).AsUint32()[0], 111u);
-}
-
 BinaryChunk MakeMixedChunk(uint64_t index, size_t rows) {
   Random rng(index + 1);
   BinaryChunk chunk(index);
@@ -197,10 +166,80 @@ TEST(ChunkSerdeTest, DetectsBadMagic) {
   EXPECT_TRUE(back.status().IsCorruption());
 }
 
-TEST(ChunkSerdeTest, Fnv1aMatchesKnownVector) {
-  // FNV-1a 64-bit test vectors.
-  EXPECT_EQ(Fnv1aHash(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(Fnv1aHash("a"), 0xaf63dc4c8601ec8cull);
+// MakeMixedChunk plus two clustered integer columns, which `compress`
+// delta-encodes: every column type and both encodings in one page.
+BinaryChunk MakeChunkWithDeltaColumns(uint64_t index, size_t rows) {
+  BinaryChunk chunk = MakeMixedChunk(index, rows);
+  ColumnVector u(FieldType::kUint32), i(FieldType::kInt64);
+  for (size_t r = 0; r < rows; ++r) {
+    u.AppendUint32(static_cast<uint32_t>(1000 + 3 * r));
+    i.AppendInt64(-5000 + static_cast<int64_t>(7 * r));
+  }
+  EXPECT_TRUE(chunk.AddColumn(12, std::move(u)).ok());
+  EXPECT_TRUE(chunk.AddColumn(13, std::move(i)).ok());
+  return chunk;
+}
+
+// Every byte of a page is covered by the magic, the header CRC or a column
+// CRC, and CRC32C catches every single-bit error: no flip decodes.
+TEST(ChunkSerdeTest, EveryBitFlipIsRejected) {
+  const BinaryChunk chunk = MakeChunkWithDeltaColumns(3, 24);
+  std::string page;
+  ASSERT_TRUE(SerializeChunk(chunk, &page, /*compress=*/true).ok());
+  auto header = ParseSegmentHeader(page, page.size());
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  ASSERT_EQ(header->columns.size(), 6u);
+  EXPECT_EQ(header->columns[4].encoding, ColumnEncoding::kVarintDelta);
+  EXPECT_EQ(header->columns[5].encoding, ColumnEncoding::kVarintDelta);
+  for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    auto back = DeserializeChunk(page);
+    ASSERT_TRUE(back.status().IsCorruption())
+        << "flip of bit " << bit << ": " << back.status().ToString();
+    page[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+  }
+  ASSERT_TRUE(DeserializeChunk(page).ok());
+}
+
+TEST(ChunkSerdeTest, ColumnsDecodeOnTheirOwn) {
+  const BinaryChunk chunk = MakeChunkWithDeltaColumns(8, 40);
+  std::string page;
+  ASSERT_TRUE(SerializeChunk(chunk, &page, /*compress=*/true).ok());
+  // The header alone, read as a prefix, is enough to locate every column.
+  const std::string_view prefix =
+      std::string_view(page).substr(0, SegmentHeaderBytes(6));
+  auto header = ParseSegmentHeader(prefix, page.size());
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->chunk_index, 8u);
+  EXPECT_EQ(header->num_rows, 40u);
+  EXPECT_EQ(header->columns.front().offset, prefix.size());
+  for (const ColumnExtent& e : header->columns) {
+    auto vec = DecodeColumn(e, header->num_rows,
+                            std::string_view(page).substr(e.offset, e.length));
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    BinaryChunk one(8), expected(8);
+    ASSERT_TRUE(one.AddColumn(e.col, std::move(*vec)).ok());
+    ASSERT_TRUE(expected.AddColumn(e.col, chunk.column(e.col)).ok());
+    ExpectChunksEqual(expected, one);
+  }
+  // A prefix cut inside the header is a truncation, not a crash.
+  EXPECT_TRUE(ParseSegmentHeader(prefix.substr(0, prefix.size() - 1),
+                                 page.size())
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(ChunkSerdeTest, SubsetPagesNeedAscendingPresentColumns) {
+  const BinaryChunk chunk = MakeMixedChunk(1, 10);
+  std::string page;
+  ASSERT_TRUE(SerializeChunk(chunk, {1, 9}, &page).ok());
+  auto back = DeserializeChunk(page);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ColumnIds(), (std::vector<size_t>{1, 9}));
+  std::string bad;
+  EXPECT_TRUE(SerializeChunk(chunk, {9, 1}, &bad).IsInvalidArgument());
+  EXPECT_TRUE(SerializeChunk(chunk, {1, 1}, &bad).IsInvalidArgument());
+  EXPECT_TRUE(SerializeChunk(chunk, {2}, &bad).IsInvalidArgument());
 }
 
 // Property sweep: serialization round-trips across sizes.

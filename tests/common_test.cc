@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/json.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -294,6 +295,34 @@ TEST(StringUtilTest, StringPrintf) {
   // Long outputs exercise the heap path.
   std::string big(500, 'y');
   EXPECT_EQ(StringPrintf("%s", big.c_str()).size(), 500u);
+}
+
+TEST(Crc32cTest, KnownAnswers) {
+  EXPECT_EQ(Crc32c(""), 0x00000000u);
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32c(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(detail::Crc32cPortable("123456789"), 0xE3069283u);
+  EXPECT_EQ(detail::Crc32cPortable(std::string(32, '\0')), 0x8A9136AAu);
+}
+
+// Crc32c dispatches to the SSE4.2 instruction where the CPU has it; it must
+// agree with the table path on every length and every start alignment.
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  Random rng(0xC5C32C);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const size_t len = rng.Uniform(4097);
+      const std::string_view data(buffer.data() + align, len);
+      ASSERT_EQ(Crc32c(data), detail::Crc32cPortable(data))
+          << "length " << len << " alignment " << align;
+    }
+    for (size_t len = 0; len <= 17; ++len) {  // every tail length
+      const std::string_view data(buffer.data() + align, len);
+      ASSERT_EQ(Crc32c(data), detail::Crc32cPortable(data));
+    }
+  }
 }
 
 }  // namespace

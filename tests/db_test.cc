@@ -3,8 +3,10 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 
+#include "columnar/chunk_serde.h"
 #include "db/catalog.h"
 #include "db/heap_scan.h"
 #include "db/statistics.h"
@@ -483,6 +485,125 @@ TEST(StorageManagerTest, PartialColumnSegmentsMerge) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged->column(0).AsUint32()[0], 1u);
   EXPECT_EQ(merged->column(1).AsUint32()[1], 8u);
+}
+
+// Columns 0-3 are uint32/int64/double/string; 4 and 5 are clustered
+// integers that delta-encode under compression.
+BinaryChunk MakeMixedChunk(uint64_t index, size_t rows) {
+  BinaryChunk chunk(index);
+  ColumnVector u(FieldType::kUint32), i(FieldType::kInt64),
+      d(FieldType::kDouble), s(FieldType::kString), du(FieldType::kUint32),
+      di(FieldType::kInt64);
+  for (size_t r = 0; r < rows; ++r) {
+    u.AppendUint32(static_cast<uint32_t>(r * 2654435761u));
+    i.AppendInt64(static_cast<int64_t>(r * 0x9E3779B97F4A7C15ull));
+    d.AppendDouble(static_cast<double>(r) * 0.25);
+    s.AppendString(std::string(r % 5, static_cast<char>('a' + r % 26)));
+    du.AppendUint32(static_cast<uint32_t>(100 + r));
+    di.AppendInt64(-static_cast<int64_t>(r) * 9);
+  }
+  ColumnVector columns[] = {std::move(u),  std::move(i),  std::move(d),
+                            std::move(s),  std::move(du), std::move(di)};
+  for (size_t c = 0; c < std::size(columns); ++c) {
+    EXPECT_TRUE(chunk.AddColumn(c, std::move(columns[c])).ok());
+  }
+  return chunk;
+}
+
+void FlipBitOnDisk(const std::string& path, uint64_t offset, int bit) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte ^= static_cast<char>(1 << bit);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
+  ASSERT_TRUE(f.good());
+}
+
+TEST(StorageManagerTest, ProjectedReadTakesOnlyTheProjectedColumns) {
+  const std::string path = TempPath("db_projected.bin");
+  IoStats stats;
+  auto storage = StorageManager::Create(path, nullptr, &stats);
+  ASSERT_TRUE(storage.ok());
+  const BinaryChunk chunk = MakeMixedChunk(2, 500);
+  auto seg = (*storage)->WriteChunk(chunk);
+  ASSERT_TRUE(seg.ok());
+  ChunkMetadata meta;
+  meta.chunk_index = 2;
+  meta.num_rows = 500;
+  meta.segments.push_back(*seg);
+  meta.loaded_columns.insert(seg->columns.begin(), seg->columns.end());
+
+  stats.Reset();
+  auto two = (*storage)->ReadChunkColumns(meta, {1, 3});
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(two->ColumnIds(), (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(two->num_rows(), 500u);
+  EXPECT_EQ(two->column(1).AsInt64()[7], chunk.column(1).AsInt64()[7]);
+  EXPECT_EQ(two->column(3).StringAt(499), chunk.column(3).StringAt(499));
+  // One read for the header and one coalesced read over columns 1..3.
+  EXPECT_EQ(stats.read_calls.load(), 2u);
+  EXPECT_LT(stats.bytes_read.load(), seg->page.size);
+
+  auto all = (*storage)->ReadChunkColumns(meta, seg->columns);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->ColumnIds(), seg->columns);
+}
+
+// A flip of any bit of a stored page fails VerifySegment (which recovery
+// runs at LoadCatalog), and a flip in the header or inside a projected
+// column fails the projected read of that column.
+TEST(StorageManagerTest, EveryBitFlipIsCaughtByVerifyAndProjectedRead) {
+  const std::string path = TempPath("db_bitflip.bin");
+  auto storage = StorageManager::Create(path);
+  ASSERT_TRUE(storage.ok());
+  (*storage)->SetCompression(true);
+  const BinaryChunk chunk = MakeMixedChunk(5, 12);
+  auto seg = (*storage)->WriteChunk(chunk);
+  ASSERT_TRUE(seg.ok());
+  ASSERT_TRUE((*storage)->Sync().ok());
+  ChunkMetadata meta;
+  meta.chunk_index = 5;
+  meta.num_rows = 12;
+  meta.segments.push_back(*seg);
+  meta.loaded_columns.insert(seg->columns.begin(), seg->columns.end());
+
+  auto file = ReadFileToString(path);
+  ASSERT_TRUE(file.ok());
+  const std::string page = file->substr(seg->page.offset, seg->page.size);
+  auto header = ParseSegmentHeader(page, page.size());
+  ASSERT_TRUE(header.ok());
+  ASSERT_EQ(header->columns[4].encoding, ColumnEncoding::kVarintDelta);
+  ASSERT_EQ(header->columns[5].encoding, ColumnEncoding::kVarintDelta);
+  const uint64_t header_end = header->columns.front().offset;
+
+  for (uint64_t byte = 0; byte < seg->page.size; ++byte) {
+    // The column whose body holds this byte, if any.
+    size_t owner = SIZE_MAX;
+    for (const ColumnExtent& e : header->columns) {
+      if (byte >= e.offset && byte < e.offset + e.length) owner = e.col;
+    }
+    for (int bit = 0; bit < 8; ++bit) {
+      FlipBitOnDisk(path, seg->page.offset + byte, bit);
+      EXPECT_TRUE((*storage)->VerifySegment(seg->page).IsCorruption())
+          << "byte " << byte << " bit " << bit;
+      if (byte < header_end) {
+        EXPECT_FALSE((*storage)->ReadChunkColumns(meta, {0}).ok())
+            << "header byte " << byte << " bit " << bit;
+      } else {
+        EXPECT_TRUE(
+            (*storage)->ReadChunkColumns(meta, {owner}).status().IsCorruption())
+            << "column " << owner << " byte " << byte << " bit " << bit;
+        // The other columns still read: the flip is outside them.
+        const size_t other = owner == 0 ? 1 : 0;
+        EXPECT_TRUE((*storage)->ReadChunkColumns(meta, {other}).ok());
+      }
+      FlipBitOnDisk(path, seg->page.offset + byte, bit);
+    }
+  }
+  EXPECT_TRUE((*storage)->VerifySegment(seg->page).ok());
 }
 
 TEST(StorageManagerTest, WriteMissingColumnRejected) {

@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "datagen/csv_generator.h"
+#include "db/catalog.h"
 #include "db/recovery.h"
+#include "db/storage_manager.h"
+#include "format/posmap_serde.h"
 #include "io/fault_injection.h"
 #include "io/file.h"
 #include "obs/explain.h"
@@ -661,6 +664,154 @@ TEST_F(PosmapRecoveryTest, StaleSidecarDropped) {
   EXPECT_EQ(result->total_sum, info_.total_sum);
   EXPECT_GT(explain.bytes_tokenized, 0u);
   EXPECT_EQ(explain.posmap_disk_hits, 0u);
+}
+
+// The version-1 formats, written by hand as earlier builds wrote them: a
+// page was "SCRC" | body size | FNV-1a of the body | body, a sidecar
+// carried an FNV-1a per entry and a 64-bit FNV-1a footer.
+uint64_t V1Fnv1a(std::string_view data) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <typename T>
+void AppendRaw(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+std::string EncodeV1Page(const BinaryChunk& chunk) {
+  std::string body;
+  AppendRaw<uint64_t>(&body, chunk.chunk_index());
+  AppendRaw<uint64_t>(&body, chunk.num_rows());
+  AppendRaw<uint32_t>(&body, static_cast<uint32_t>(chunk.num_columns()));
+  for (size_t col : chunk.ColumnIds()) {
+    const ColumnVector& vec = chunk.column(col);
+    AppendRaw<uint64_t>(&body, col);
+    AppendRaw<uint8_t>(&body, static_cast<uint8_t>(vec.type()));
+    AppendRaw<uint8_t>(&body, 0);  // raw bytes
+    const auto& data = vec.fixed_data();  // the test table is all uint32
+    AppendRaw<uint64_t>(&body, data.size());
+    body.append(reinterpret_cast<const char*>(data.data()), data.size());
+  }
+  std::string page;
+  AppendRaw<uint32_t>(&page, 0x53435243);  // "SCRC"
+  AppendRaw<uint64_t>(&page, body.size());
+  AppendRaw<uint64_t>(&page, V1Fnv1a(body));
+  return page + body;
+}
+
+std::string EncodeV1Sidecar(const PosmapSidecarHeader& header,
+                            const std::vector<PosmapSidecarEntry>& entries) {
+  std::string out = "scanraw-posmap v1\n";
+  AppendRaw<uint32_t>(&out, static_cast<uint32_t>(header.table.size()));
+  out.append(header.table);
+  AppendRaw<uint64_t>(&out, header.raw_size);
+  AppendRaw<int64_t>(&out, header.raw_mtime_nanos);
+  out.push_back(header.dialect.delimiter);
+  out.push_back(header.dialect.quoted ? 1 : 0);
+  out.push_back(header.dialect.quote);
+  AppendRaw<uint32_t>(&out, static_cast<uint32_t>(entries.size()));
+  for (const PosmapSidecarEntry& e : entries) {
+    const std::vector<uint32_t>& offsets = e.map->raw_offsets();
+    AppendRaw<uint64_t>(&out, e.chunk_index);
+    AppendRaw<uint32_t>(&out, static_cast<uint32_t>(e.map->fields_per_row()));
+    out.push_back(e.map->explicit_ends() ? 1 : 0);
+    AppendRaw<uint64_t>(&out, offsets.size());
+    const std::string_view payload(
+        reinterpret_cast<const char*>(offsets.data()),
+        offsets.size() * sizeof(uint32_t));
+    out.append(payload);
+    AppendRaw<uint64_t>(&out, V1Fnv1a(payload));
+  }
+  AppendRaw<uint64_t>(&out, V1Fnv1a(out));
+  return out;
+}
+
+// A database and sidecar left by a build that wrote format v1: there is no
+// legacy reader. Recovery reverts the chunk whose page is v1 and drops the
+// v1 sidecar, and the next query re-extracts that chunk from raw with the
+// same answer as before the restart.
+TEST_F(PosmapRecoveryTest, VersionOnePageAndSidecarAreReextracted) {
+  ScanRawOptions options = PosmapOptions();
+  options.policy = LoadPolicy::kFullLoad;
+  const QuerySpec query = SumQuery({0, 1});
+  QueryResult before;
+  {
+    ScanRawManager::Config config;
+    config.db_path = db_path_;
+    auto manager = ScanRawManager::Create(config);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(
+        (*manager)->RegisterRawFile("t", csv_path_, schema_, options).ok());
+    auto result = (*manager)->Query("t", query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    before = *result;
+    ASSERT_TRUE((*manager)->SaveCatalog(catalog_path_).ok());
+  }
+  ASSERT_EQ(before.total_sum, info_.column_sums[0] + info_.column_sums[1]);
+  ASSERT_TRUE(FileExists(SidecarPath()));
+
+  // Chunk 3's segment becomes a v1 page appended to the database.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.LoadFromFile(catalog_path_).ok());
+  auto tables = catalog.Snapshot();
+  ChunkMetadata& chunk = tables.at("t").chunks.at(3);
+  ASSERT_EQ(chunk.segments.size(), 1u);
+  {
+    auto storage = StorageManager::OpenExisting(db_path_);
+    ASSERT_TRUE(storage.ok());
+    auto part = (*storage)->ReadSegment(chunk.segments[0].page);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    const std::string v1 = EncodeV1Page(*part);
+    chunk.segments[0].page = PageRef{(*storage)->bytes_written(), v1.size()};
+    auto writer = WritableFile::OpenForAppend(db_path_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append(v1).ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  catalog.Restore(std::move(tables));
+  ASSERT_TRUE(catalog.SaveToFile(catalog_path_).ok());
+
+  // The sidecar becomes v1, with the same maps.
+  auto sidecar = ReadFileToString(SidecarPath());
+  ASSERT_TRUE(sidecar.ok());
+  PosmapSidecarHeader header;
+  auto entries = DecodePosmapSidecar(*sidecar, &header);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_FALSE(entries->empty());
+  ASSERT_TRUE(
+      WriteStringToFile(SidecarPath(), EncodeV1Sidecar(header, *entries)).ok());
+
+  ScanRawManager::Config config;
+  config.db_path = db_path_;
+  config.reuse_existing_db = true;
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->LoadCatalog(catalog_path_).ok());
+  EXPECT_EQ((*manager)->last_recovery().segments_dropped, 1u);
+  EXPECT_EQ((*manager)->last_recovery().chunks_reverted, 1u);
+  EXPECT_EQ((*manager)->last_recovery().posmaps_dropped, 1u);
+  ASSERT_TRUE((*manager)->AttachOptions("t", options).ok());
+  obs::ExplainReport explain;
+  auto after = (*manager)->Query("t", query, &explain);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->total_sum, before.total_sum);
+  EXPECT_EQ(after->rows_scanned, before.rows_scanned);
+  EXPECT_EQ(after->rows_matched, before.rows_matched);
+  EXPECT_EQ(explain.chunks_from_raw, 1u);
+  EXPECT_EQ(explain.chunks_from_db, 7u);
+  EXPECT_GT(explain.bytes_tokenized, 0u);  // no v1 map was reused
+  EXPECT_EQ(explain.posmap_disk_hits, 0u);
+  for (size_t c : {0, 1}) {
+    auto one = (*manager)->Query("t", SumQuery({c}));
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one->total_sum, info_.column_sums[c]);
+  }
 }
 
 // Under synchronous-loading policies a failed write is part of the query

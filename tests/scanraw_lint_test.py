@@ -765,6 +765,55 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/obs/bench.cc")
         self.assertEqual(code, 0, out)
 
+    # ---- one-checksum ----
+
+    FNV_LOOP = ("uint64_t Fnv1aHash(std::string_view data) {\n"
+                "  uint64_t h = 0xcbf29ce484222325ull;\n"
+                "  for (unsigned char c : data) {\n"
+                "    h ^= c;\n"
+                "    h *= 0x100000001b3ull;\n"
+                "  }\n  return h;\n}\n")
+
+    def test_one_checksum_caught(self):
+        self.write("src/columnar/chunk_serde.cc", self.FNV_LOOP)
+        code, out = self.lint("src/columnar/chunk_serde.cc")
+        self.assertEqual(code, 1)
+        self.assertIn("src/columnar/chunk_serde.cc:5: [one-checksum]", out)
+
+    def test_one_checksum_caught_in_any_spelling(self):
+        self.write("src/format/x.cc",
+                   "constexpr uint64_t kPrime = 0x00000100000001B3;\n"
+                   "uint64_t p = 0X100000001b3u;\n")
+        code, out = self.lint("src/format/x.cc")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[one-checksum]"), 2, out)
+
+    def test_one_checksum_exempt_in_sketches(self):
+        self.write("src/db/sketches.cc", self.FNV_LOOP)
+        code, out = self.lint("src/db/sketches.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_other_hex_constants_pass(self):
+        self.write("src/format/x.cc",
+                   "uint64_t a = 0x100000001b30;\n"
+                   "uint64_t b = 0x9E3779B97F4A7C15ull;\n"
+                   "uint64_t c = 0x1100000001b3;\n")
+        code, out = self.lint("src/format/x.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_one_checksum_in_test_file_and_comment_pass(self):
+        self.write("tests/recovery_test.cc", self.FNV_LOOP)
+        self.write("src/format/x.cc", "// v1 used FNV-1a (0x100000001b3)\n")
+        code, out = self.lint("tests/recovery_test.cc", "src/format/x.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_one_checksum_suppressed(self):
+        self.write("src/format/x.cc",
+                   "// scanraw-lint: allow(one-checksum)\n"
+                   "uint64_t p = 0x100000001b3ull;\n")
+        code, out = self.lint("src/format/x.cc")
+        self.assertEqual(code, 0, out)
+
     def test_clean_tree_exits_zero(self):
         self.write("src/io/a.cc", 'Mutex a{LockRank::kLeaf, "a"};\n')
         self.write("src/io/foo.h", self.good_header())

@@ -44,6 +44,12 @@ TEST(KmvSketchTest, StringsAndReScanIdempotent) {
   EXPECT_DOUBLE_EQ(a.EstimateDistinct(), b.EstimateDistinct());
 }
 
+TEST(KmvSketchTest, StringHashIsFnv1a) {
+  // FNV-1a 64-bit test vectors.
+  EXPECT_EQ(KmvSketch::StringHash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(KmvSketch::StringHash("a"), 0xaf63dc4c8601ec8cull);
+}
+
 TEST(KmvSketchTest, MergeEqualsUnion) {
   KmvSketch a(128), b(128), all(128);
   for (int i = 0; i < 1000; ++i) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
 
 #include "common/json.h"
@@ -59,9 +60,12 @@ BenchComparison CompareBenchTables(const BenchTable& baseline,
                                    double threshold_pct) {
   BenchComparison cmp;
 
-  std::map<std::string, const std::vector<std::string>*> candidate_rows;
+  // Rows sharing a key match by occurrence: the n-th baseline row with a
+  // key against the n-th candidate row with that key.
+  std::map<std::string, std::deque<const std::vector<std::string>*>>
+      candidate_rows;
   for (const auto& row : candidate.rows) {
-    if (!row.empty()) candidate_rows[row[0]] = &row;
+    if (!row.empty()) candidate_rows[row[0]].push_back(&row);
   }
   std::map<std::string, size_t> candidate_cols;
   for (size_t i = 0; i < candidate.headers.size(); ++i) {
@@ -71,12 +75,12 @@ BenchComparison CompareBenchTables(const BenchTable& baseline,
   for (const auto& row : baseline.rows) {
     if (row.empty()) continue;
     auto row_it = candidate_rows.find(row[0]);
-    if (row_it == candidate_rows.end()) {
+    if (row_it == candidate_rows.end() || row_it->second.empty()) {
       cmp.unmatched.push_back("row \"" + row[0] + "\" missing in candidate");
       continue;
     }
-    const std::vector<std::string>& cand_row = *row_it->second;
-    candidate_rows.erase(row_it);
+    const std::vector<std::string>& cand_row = *row_it->second.front();
+    row_it->second.pop_front();
     for (size_t c = 1; c < row.size() && c < baseline.headers.size(); ++c) {
       auto col_it = candidate_cols.find(baseline.headers[c]);
       if (col_it == candidate_cols.end() ||
@@ -102,8 +106,10 @@ BenchComparison CompareBenchTables(const BenchTable& baseline,
       cmp.deltas.push_back(std::move(delta));
     }
   }
-  for (const auto& [key, _] : candidate_rows) {
-    cmp.unmatched.push_back("row \"" + key + "\" missing in baseline");
+  for (const auto& [key, rows] : candidate_rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      cmp.unmatched.push_back("row \"" + key + "\" missing in baseline");
+    }
   }
   std::sort(cmp.deltas.begin(), cmp.deltas.end(),
             [](const BenchDelta& a, const BenchDelta& b) {

@@ -62,6 +62,10 @@ json-decode      A JSON \\u escape decoder (`case 'u'`) in src/ non-test
                  code outside common/json.cc. Documents the program writes
                  and reads back go through the one scanraw::JsonReader
                  (common/json.h), so a mutation driver covers one decoder.
+one-checksum     The 64-bit FNV prime (0x100000001b3) in src/ non-test code
+                 outside db/sketches.cc. Persisted bytes are checksummed
+                 with the one Crc32c (common/crc32c.h); FNV-1a stays only as
+                 the KMV sketch's hash function.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -149,6 +153,10 @@ TIMED_WAIT_RE = re.compile(r"(?:\.|->)\s*WaitFor\s*\(")
 # json-decode: the shared reader is the one JSON string decoder.
 JSON_DECODE_EXEMPT = ("common/json.cc",)
 JSON_DECODE_RE = re.compile(r"\bcase\s*'u'\s*:")
+
+# one-checksum: the FNV prime, in any case, with or without leading zeros.
+FNV_EXEMPT = ("db/sketches.cc",)
+FNV_PRIME_RE = re.compile(r"\b0[xX]0*100000001[bB]3(?![0-9a-fA-F])")
 
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
 # A `for` header that advances one element at a time.
@@ -457,6 +465,17 @@ def check_json_decode(rel, lines, findings):
                              "(common/json.h)"))
 
 
+def check_one_checksum(rel, lines, findings):
+    if any(rel.replace(os.sep, "/").endswith(e) for e in FNV_EXEMPT):
+        return
+    for i, line in enumerate(lines):
+        if FNV_PRIME_RE.search(strip_comments(line)) and \
+                not is_suppressed(lines, i, "one-checksum"):
+            findings.append((rel, i + 1, "one-checksum",
+                             "FNV-1a outside db/sketches.cc; checksum "
+                             "persisted bytes with Crc32c (common/crc32c.h)"))
+
+
 def is_test_file(rel):
     base = os.path.basename(rel)
     return ("test" in base) or ("/tests/" in rel.replace(os.sep, "/"))
@@ -482,6 +501,7 @@ def lint_file(path, findings):
         check_condvar_wait_loop(rel, lines, findings)
         check_timed_wait(rel, lines, findings)
         check_json_decode(rel, lines, findings)
+        check_one_checksum(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
