@@ -18,17 +18,17 @@
 namespace scanraw {
 
 // Supplier of recycled backing buffers for ColumnVector (and the READ
-// chunker's text buffers). Acquired buffers are always empty (size 0) but
-// keep the capacity of whatever they backed before, so steady-state
-// pipeline iterations allocate nothing. Implemented by
-// scanraw::ChunkBufferPool; defined here so the parser can recycle without
-// depending on the scanraw/ layer.
+// chunker's text buffers and the tokenizer's map slots). Acquired buffers
+// are always empty (size 0) with capacity for at least the requested number
+// of elements, so steady-state pipeline iterations neither allocate nor
+// regrow. Implemented by scanraw::ChunkBufferPool; defined here so the
+// parser and tokenizer can recycle without depending on the scanraw/ layer.
 class ColumnBufferSource {
  public:
   virtual ~ColumnBufferSource() = default;
-  virtual std::vector<uint8_t> AcquireFixed() = 0;
-  virtual std::string AcquireString() = 0;
-  virtual std::vector<uint32_t> AcquireOffsets() = 0;
+  virtual std::vector<uint8_t> AcquireFixed(size_t min_bytes) = 0;
+  virtual std::string AcquireString(size_t min_bytes) = 0;
+  virtual std::vector<uint32_t> AcquireOffsets(size_t min_count) = 0;
   virtual void ReleaseFixed(std::vector<uint8_t> buffer) = 0;
   virtual void ReleaseString(std::string buffer) = 0;
   virtual void ReleaseOffsets(std::vector<uint32_t> buffer) = 0;
@@ -82,13 +82,15 @@ class ColumnVector {
   }
 
   // -- buffer recycling (see ChunkBufferPool) --
-  // Swaps in recycled, empty backing buffers for this vector's type.
-  void AdoptBuffersFrom(ColumnBufferSource* source) {
+  // Swaps in recycled, empty backing buffers for this vector's type, sized
+  // for `n` values (and, for strings, `arena_bytes` of payload).
+  void AdoptBuffersFrom(ColumnBufferSource* source, size_t n,
+                        size_t arena_bytes = 0) {
     if (IsFixedWidth(type_)) {
-      fixed_ = source->AcquireFixed();
+      fixed_ = source->AcquireFixed(n * FixedWidth(type_));
     } else {
-      string_arena_ = source->AcquireString();
-      string_offsets_ = source->AcquireOffsets();
+      string_arena_ = source->AcquireString(arena_bytes);
+      string_offsets_ = source->AcquireOffsets(n + 1);
     }
     num_values_ = 0;
   }

@@ -256,8 +256,12 @@ inline size_t FindAll(const char* data, size_t from, size_t end, char needle,
   size_t total = 0;
   size_t pos = from;
   while (total < max_hits && pos < end) {
-    const size_t batch = max_hits - total < kBatch ? max_hits - total : kBatch;
     const size_t base = out->size();
+    size_t batch = max_hits - total < kBatch ? max_hits - total : kBatch;
+    // Fill spare capacity before growing: a vector sized for its hits (a
+    // recycled line-start buffer) must not regrow for a batch's slack.
+    const size_t spare = out->capacity() - base;
+    if (spare > 0 && spare < batch) batch = spare;
     out->resize(base + batch);
     size_t next = kNpos;
     const size_t n =

@@ -29,14 +29,16 @@ size_t NumRanges(ThreadPool* pool, size_t requested, size_t bytes,
 
 }  // namespace
 
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& body) {
-  if (n == 0) return;
+FanOut ParallelFor(ThreadPool* pool, size_t n,
+                   const std::function<void(size_t)>& body) {
+  FanOut fan_out;
+  if (n == 0) return fan_out;
   const size_t helpers =
       pool == nullptr ? 0 : std::min(pool->num_workers(), n - 1);
   if (helpers == 0) {
     for (size_t i = 0; i < n; ++i) body(i);
-    return;
+    fan_out.by_caller = n;
+    return fan_out;
   }
   struct State {
     explicit State(size_t total) : n(total) {}
@@ -62,14 +64,27 @@ void ParallelFor(ThreadPool* pool, size_t n,
     MutexLock lock(state->mu);
     state->completed += done;
     if (state->completed == state->n) state->done_cv.NotifyAll();
+    return done;
   };
   for (size_t h = 0; h < helpers; ++h) pool->Submit(run);
   // The caller participates: with the pool saturated by other work this
   // degrades to the caller running every index, never to a deadlock.
-  run();
+  fan_out.by_caller = run();
+  fan_out.by_helpers = n - fan_out.by_caller;
   MutexLock lock(state->mu);
   while (state->completed != state->n) state->done_cv.Wait(lock);
+  return fan_out;
 }
+
+namespace {
+
+void AddFanOut(const FanOut& fan_out, SpeculationStats* stats) {
+  if (stats == nullptr) return;
+  stats->fan_out.by_caller += fan_out.by_caller;
+  stats->fan_out.by_helpers += fan_out.by_helpers;
+}
+
+}  // namespace
 
 bool FindRecordNewlines(const char* data, size_t from, size_t end,
                         const RecordDialect& dialect, bool start_inside,
@@ -118,7 +133,10 @@ bool ParallelFindRecordNewlines(const char* data, size_t from, size_t end,
                        : NumRanges(options.pool, options.num_ranges, bytes,
                                    options.min_range_bytes, bytes);
   if (n <= 1) {
-    if (stats != nullptr && options.dialect.quoted) stats->ranges += 1;
+    if (options.dialect.quoted) {
+      if (stats != nullptr) stats->ranges += 1;
+      AddFanOut(FanOut{1, 0}, stats);
+    }
     return FindRecordNewlines(data, from, end, options.dialect, start_inside,
                               newlines);
   }
@@ -126,7 +144,7 @@ bool ParallelFindRecordNewlines(const char* data, size_t from, size_t end,
   for (size_t i = 0; i <= n; ++i) bounds[i] = from + bytes * i / n;
   std::vector<std::vector<uint32_t>> found(n);
   std::vector<uint8_t> parity(n, 0);
-  ParallelFor(options.pool, n, [&](size_t i) {
+  const FanOut fan_out = ParallelFor(options.pool, n, [&](size_t i) {
     // Speculate: every range starts at outside-quote parity. The returned
     // end parity equals the range's parity *delta* (quote count mod 2),
     // which does not depend on the speculated start — the fold below
@@ -138,6 +156,7 @@ bool ParallelFindRecordNewlines(const char* data, size_t from, size_t end,
                     : 0;
   });
   if (stats != nullptr) stats->ranges += n;
+  AddFanOut(fan_out, stats);
   // Validate where ranges stitch together: fold the true start state across
   // ranges and repair (re-scan) the ones whose speculation was wrong. A
   // misspeculated range recorded exactly the quoted newlines and skipped the
@@ -167,16 +186,17 @@ Result<PositionalMap> ParallelTokenizeChunk(
     return Status::InvalidArgument("schema_fields must be > 0");
   }
   const size_t rows = chunk.num_rows();
-  PositionalMap map(rows, options.EffectiveFields(),
-                    /*explicit_ends=*/options.quoted);
+  PositionalMap map =
+      NewPositionalMap(rows, options.EffectiveFields(),
+                       /*explicit_ends=*/options.quoted, options.recycler);
   const size_t n =
       NumRanges(parallel_options.pool, parallel_options.num_ranges,
                 chunk.data.size(), parallel_options.min_range_bytes, rows);
   if (stats != nullptr) stats->ranges += n;
   if (n <= 1) {
-    Status status = TokenizeRows(chunk, options, 0, rows, &map);
-    if (!status.ok()) return status;
-    return map;
+    AddFanOut(FanOut{1, 0}, stats);
+    const Status status = TokenizeRows(chunk, options, 0, rows, &map);
+    return MapOrRecycle(std::move(map), status, options.recycler);
   }
   // Byte-balanced row ranges: cut at byte targets, snapped to the record
   // starts TOKENIZE already knows, so a few huge rows cannot pile all the
@@ -195,17 +215,20 @@ Result<PositionalMap> ParallelTokenizeChunk(
 
   std::vector<Status> statuses(n);
   const Clock* clock = RealClock::Instance();
-  ParallelFor(parallel_options.pool, n, [&](size_t i) {
+  const FanOut fan_out = ParallelFor(parallel_options.pool, n, [&](size_t i) {
     const int64_t t0 = parallel_options.range_span ? clock->NowNanos() : 0;
     statuses[i] = TokenizeRows(chunk, options, bounds[i], bounds[i + 1], &map);
     if (parallel_options.range_span) {
       parallel_options.range_span(i, t0, clock->NowNanos() - t0);
     }
   });
+  AddFanOut(fan_out, stats);
   // Ranges are row-ordered and each range stops at its first bad row, so the
   // first failed range carries the same error the sequential scan reports.
   for (const Status& status : statuses) {
-    if (!status.ok()) return status;
+    if (!status.ok()) {
+      return MapOrRecycle(std::move(map), status, options.recycler);
+    }
   }
   return map;
 }

@@ -48,20 +48,31 @@ struct RecordDialect {
   char quote = '"';
 };
 
+// Who ran the indexes of one ParallelFor: the participating caller or the
+// pool's helpers. by_caller + by_helpers == n.
+struct FanOut {
+  uint64_t by_caller = 0;
+  uint64_t by_helpers = 0;
+};
+
 // Speculation outcome counters, folded into PipelineProfile by the caller
-// (scanraw.tokenize.ranges / .misspeculations / .repair_bytes).
+// (scanraw.tokenize.ranges / .misspeculations / .repair_bytes, and the
+// fan-out split scanraw.tokenize.ranges_by_{caller,helper}; a scan that
+// runs as one range counts it as the caller's).
 struct SpeculationStats {
   uint64_t ranges = 0;
   uint64_t misspeculations = 0;
   uint64_t repair_bytes = 0;
+  FanOut fan_out;
 };
 
 // Runs body(0) .. body(n-1), fanning out to `pool` (may be null). The caller
 // participates: indexes are claimed from a shared atomic, so a saturated or
 // empty pool degrades to the caller running everything rather than
-// deadlocking behind its own queue. Returns after every body call finished.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& body);
+// deadlocking behind its own queue. Returns after every body call finished,
+// with the count of indexes each side ran.
+FanOut ParallelFor(ThreadPool* pool, size_t n,
+                   const std::function<void(size_t)>& body);
 
 // Sequential quote-aware newline scan over data[from, end): appends the
 // offset of every record-terminating newline (those at outside-quote parity)

@@ -327,6 +327,21 @@ size_t ParseColumnBlock(const TextChunk& chunk, const PositionalMap& map,
 // from memory once per column otherwise).
 constexpr size_t kParseRowBlock = 512;
 
+// Payload bytes of string column `c` over the output rows: the sum of the
+// fields' spans, an upper bound on the arena (collapsing doubled quotes
+// only shrinks it), so a recycled arena never regrows mid-chunk.
+size_t ArenaBytes(const PositionalMap& map, size_t c, const uint32_t* sel,
+                  size_t out_rows) {
+  size_t bytes = 0;
+  for (size_t i = 0; i < out_rows; ++i) {
+    const size_t r = sel != nullptr ? sel[i] : i;
+    const uint32_t start = map.FieldStart(r, c);
+    const uint32_t end = map.FieldEnd(r, c);
+    if (end > start) bytes += end - start;
+  }
+  return bytes;
+}
+
 }  // namespace
 
 Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
@@ -392,8 +407,14 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
   std::vector<ColumnVector> vectors;
   vectors.reserve(cols.size());
   for (size_t c : cols) {
-    ColumnVector vec(schema.column(c).type);
-    if (options.recycler != nullptr) vec.AdoptBuffersFrom(options.recycler);
+    const FieldType type = schema.column(c).type;
+    ColumnVector vec(type);
+    if (options.recycler != nullptr) {
+      vec.AdoptBuffersFrom(options.recycler, out_rows,
+                           type == FieldType::kString
+                               ? ArenaBytes(map, c, sel, out_rows)
+                               : 0);
+    }
     vec.Reserve(out_rows);
     vectors.push_back(std::move(vec));
   }
@@ -405,6 +426,9 @@ Result<BinaryChunk> ParseChunk(const TextChunk& chunk,
                                           bn, options, &vectors[j]);
       if (bad == kAllParsed) continue;
       const Status s = FieldStatus(FieldText(chunk, map, bad, cols[j]), type);
+      if (options.recycler != nullptr) {
+        for (ColumnVector& v : vectors) v.ReleaseBuffersTo(options.recycler);
+      }
       return Status(s.code(),
                     StringPrintf("chunk %llu row %zu col %zu: ",
                                  static_cast<unsigned long long>(

@@ -14,6 +14,7 @@
 #define SCANRAW_FORMAT_POSITIONAL_MAP_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace scanraw {
@@ -21,9 +22,13 @@ namespace scanraw {
 class PositionalMap {
  public:
   PositionalMap() = default;
+  // `slots` lends its capacity (a recycled slot array, see
+  // TokenizeOptions::recycler); its contents are overwritten.
   PositionalMap(size_t num_rows, size_t fields_per_row,
-                bool explicit_ends = false)
-      : fields_per_row_(fields_per_row), explicit_ends_(explicit_ends) {
+                bool explicit_ends = false, std::vector<uint32_t> slots = {})
+      : fields_per_row_(fields_per_row),
+        explicit_ends_(explicit_ends),
+        offsets_(std::move(slots)) {
     offsets_.resize(num_rows * SlotsPerRow());
   }
 
@@ -80,6 +85,15 @@ class PositionalMap {
 
   // Serialization access: the raw slot array, layout-agnostic.
   const std::vector<uint32_t>& raw_offsets() const { return offsets_; }
+
+  // Hands the slot array (and its capacity) back for reuse; the map is
+  // empty afterwards.
+  std::vector<uint32_t> ReleaseSlots() {
+    std::vector<uint32_t> slots = std::move(offsets_);
+    offsets_.clear();
+    fields_per_row_ = 0;
+    return slots;
+  }
 
   // Rebuilds a map from persisted parts. `offsets.size()` must be a whole
   // multiple of the layout's slots-per-row; callers validate before calling.

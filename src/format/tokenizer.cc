@@ -1,5 +1,6 @@
 #include "format/tokenizer.h"
 
+#include "columnar/column_vector.h"
 #include "common/byte_scan.h"
 #include "common/string_util.h"
 
@@ -130,16 +131,36 @@ Status TokenizeRows(const TextChunk& chunk, const TokenizeOptions& options,
   return Status::OK();
 }
 
+PositionalMap NewPositionalMap(size_t num_rows, size_t fields_per_row,
+                               bool explicit_ends,
+                               ColumnBufferSource* recycler) {
+  if (recycler == nullptr) {
+    return PositionalMap(num_rows, fields_per_row, explicit_ends);
+  }
+  const size_t slots_per_row =
+      explicit_ends ? 2 * fields_per_row : fields_per_row + 1;
+  return PositionalMap(num_rows, fields_per_row, explicit_ends,
+                       recycler->AcquireOffsets(num_rows * slots_per_row));
+}
+
+Result<PositionalMap> MapOrRecycle(PositionalMap map, const Status& status,
+                                   ColumnBufferSource* recycler) {
+  if (status.ok()) return map;
+  if (recycler != nullptr) recycler->ReleaseOffsets(map.ReleaseSlots());
+  return status;
+}
+
 Result<PositionalMap> TokenizeChunk(const TextChunk& chunk,
                                     const TokenizeOptions& options) {
   if (options.schema_fields == 0) {
     return Status::InvalidArgument("schema_fields must be > 0");
   }
-  PositionalMap map(chunk.num_rows(), options.EffectiveFields(),
-                    /*explicit_ends=*/options.quoted);
-  Status status = TokenizeRows(chunk, options, 0, chunk.num_rows(), &map);
-  if (!status.ok()) return status;
-  return map;
+  PositionalMap map =
+      NewPositionalMap(chunk.num_rows(), options.EffectiveFields(),
+                       /*explicit_ends=*/options.quoted, options.recycler);
+  const Status status =
+      TokenizeRows(chunk, options, 0, chunk.num_rows(), &map);
+  return MapOrRecycle(std::move(map), status, options.recycler);
 }
 
 Result<PositionalMap> ExtendTokenizeMap(const TextChunk& chunk,
@@ -156,7 +177,9 @@ Result<PositionalMap> ExtendTokenizeMap(const TextChunk& chunk,
   if (base_fields == 0) return TokenizeChunk(chunk, options);
   const char delim = options.delimiter;
   const char* data = chunk.data.data();
-  PositionalMap map(chunk.num_rows(), fields);
+  PositionalMap map = NewPositionalMap(chunk.num_rows(), fields,
+                                       /*explicit_ends=*/false,
+                                       options.recycler);
 
   for (size_t r = 0; r < chunk.num_rows(); ++r) {
     const size_t copied = std::min(fields, base_fields);
@@ -176,10 +199,13 @@ Result<PositionalMap> ExtendTokenizeMap(const TextChunk& chunk,
     uint32_t field_end = base.FieldEnd(r, base_fields - 1);
     for (size_t f = base_fields; f < fields; ++f) {
       if (field_end >= end) {
-        return Status::Corruption(StringPrintf(
-            "chunk %llu row %zu: expected %zu fields, found %zu",
-            static_cast<unsigned long long>(chunk.chunk_index), r, fields,
-            f));
+        return MapOrRecycle(
+            std::move(map),
+            Status::Corruption(StringPrintf(
+                "chunk %llu row %zu: expected %zu fields, found %zu",
+                static_cast<unsigned long long>(chunk.chunk_index), r,
+                fields, f)),
+            options.recycler);
       }
       const uint32_t start = field_end + 1;  // skip the delimiter
       map.Set(r, f, start);
@@ -187,9 +213,13 @@ Result<PositionalMap> ExtendTokenizeMap(const TextChunk& chunk,
       field_end = hit == bytescan::kNpos ? end : static_cast<uint32_t>(hit);
     }
     if (fields == options.schema_fields && field_end != end) {
-      return Status::Corruption(StringPrintf(
-          "chunk %llu row %zu: more fields than the %zu in the schema",
-          static_cast<unsigned long long>(chunk.chunk_index), r, fields));
+      return MapOrRecycle(
+          std::move(map),
+          Status::Corruption(StringPrintf(
+              "chunk %llu row %zu: more fields than the %zu in the schema",
+              static_cast<unsigned long long>(chunk.chunk_index), r,
+              fields)),
+          options.recycler);
     }
     map.Set(r, fields, field_end);
   }

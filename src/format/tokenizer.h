@@ -13,6 +13,8 @@
 
 namespace scanraw {
 
+class ColumnBufferSource;
+
 struct TokenizeOptions {
   char delimiter = ',';
   // Total attributes per row according to the schema.
@@ -28,12 +30,27 @@ struct TokenizeOptions {
   // the span are collapsed by PARSE (ParseOptions::unescape_quotes).
   bool quoted = false;
   char quote = '"';
+  // When set, the map's slot array is drawn from here instead of being
+  // allocated fresh (see ChunkBufferPool::WrapMap for the way back). May be
+  // null.
+  ColumnBufferSource* recycler = nullptr;
 
   size_t EffectiveFields() const {
     if (max_fields == 0 || max_fields > schema_fields) return schema_fields;
     return max_fields;
   }
 };
+
+// An unfilled map of `num_rows` rows in the layout TokenizeChunk builds for
+// `fields_per_row` fields, its slot array drawn from `recycler` when set.
+PositionalMap NewPositionalMap(size_t num_rows, size_t fields_per_row,
+                               bool explicit_ends,
+                               ColumnBufferSource* recycler);
+
+// `map` when `status` is OK; otherwise returns the map's slot array to
+// `recycler` (when set) and yields `status`.
+Result<PositionalMap> MapOrRecycle(PositionalMap map, const Status& status,
+                                   ColumnBufferSource* recycler);
 
 // Scans `chunk` and fills a positional map with the start offset of each of
 // the first EffectiveFields() attributes per row (plus the end-of-row slot).

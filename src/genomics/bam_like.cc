@@ -13,6 +13,12 @@ namespace {
 
 // "SBM2": the format version whose block frames carry a CRC32C.
 constexpr uint32_t kBamMagic = 0x324D4253;
+// .bai v2: magic | num_reads u64 | count u64 | count x {file_offset u64,
+// first_record u64, record_count u32, chain_state u64} | CRC32C u32 of
+// everything before it.
+constexpr uint32_t kBaiMagic = 0x32414253;  // "SBA2"
+constexpr size_t kBaiHeaderBytes = 4 + 8 + 8;
+constexpr size_t kBaiEntryBytes = 8 + 8 + 4 + 8;
 // Block frame: payload bytes u32 | record count u32 | CRC32C of payload u32.
 constexpr size_t kFrameBytes = 12;
 
@@ -413,8 +419,7 @@ Result<BamIndex> WriteBamIndex(const std::string& bam_path) {
   }
 
   std::string blob;
-  const uint32_t bai_magic = 0x49414253;  // "SBAI"
-  blob.append(reinterpret_cast<const char*>(&bai_magic), 4);
+  blob.append(reinterpret_cast<const char*>(&kBaiMagic), 4);
   blob.append(reinterpret_cast<const char*>(&index.num_reads), 8);
   const uint64_t count = index.blocks.size();
   blob.append(reinterpret_cast<const char*>(&count), 8);
@@ -424,6 +429,8 @@ Result<BamIndex> WriteBamIndex(const std::string& bam_path) {
     blob.append(reinterpret_cast<const char*>(&e.record_count), 4);
     blob.append(reinterpret_cast<const char*>(&e.chain_state), 8);
   }
+  const uint32_t crc = Crc32c(blob);
+  blob.append(reinterpret_cast<const char*>(&crc), 4);
   // The index is consulted on restart; a torn .bai would poison every later
   // open, so it must land atomically.
   SCANRAW_RETURN_IF_ERROR(AtomicWriteFile(bam_path + ".bai", blob));
@@ -434,26 +441,38 @@ Result<BamIndex> LoadBamIndex(const std::string& bai_path) {
   auto blob = ReadFileToString(bai_path);
   if (!blob.ok()) return blob.status();
   const std::string& data = *blob;
-  if (data.size() < 20) return Status::Corruption("BAI too small");
+  if (data.size() < kBaiHeaderBytes + 4) {
+    return Status::Corruption("BAI too small");
+  }
+  // The CRC footer covers every byte before it; a v1 index (no footer,
+  // magic "SBAI") fails here or at the magic.
+  const size_t body = data.size() - 4;
+  uint32_t crc = 0;
+  std::memcpy(&crc, data.data() + body, 4);
+  if (crc != Crc32c(std::string_view(data).substr(0, body))) {
+    return Status::Corruption("BAI checksum mismatch");
+  }
   uint32_t magic = 0;
   std::memcpy(&magic, data.data(), 4);
-  if (magic != 0x49414253) return Status::Corruption("bad BAI magic");
+  if (magic != kBaiMagic) return Status::Corruption("bad BAI magic");
   BamIndex index;
   uint64_t count = 0;
   std::memcpy(&index.num_reads, data.data() + 4, 8);
   std::memcpy(&count, data.data() + 12, 8);
-  constexpr size_t kEntryBytes = 8 + 8 + 4 + 8;
-  if (data.size() != 20 + count * kEntryBytes) {
+  // Bound the count by the bytes present before multiplying, so a huge
+  // count cannot wrap the size check.
+  if (count > (body - kBaiHeaderBytes) / kBaiEntryBytes ||
+      body != kBaiHeaderBytes + count * kBaiEntryBytes) {
     return Status::Corruption("BAI size mismatch");
   }
   index.blocks.resize(count);
-  size_t pos = 20;
+  size_t pos = kBaiHeaderBytes;
   for (BamBlockEntry& e : index.blocks) {
     std::memcpy(&e.file_offset, data.data() + pos, 8);
     std::memcpy(&e.first_record, data.data() + pos + 8, 8);
     std::memcpy(&e.record_count, data.data() + pos + 16, 4);
     std::memcpy(&e.chain_state, data.data() + pos + 20, 8);
-    pos += kEntryBytes;
+    pos += kBaiEntryBytes;
   }
   return index;
 }

@@ -53,7 +53,9 @@ struct BamIndex {
   size_t BlockForRecord(uint64_t record) const;
 };
 
-// Writes the index next to the BAM-like file ("<bam path>.bai").
+// Writes the index next to the BAM-like file ("<bam path>.bai"), sealed
+// with a CRC32C footer. Loading rejects a torn, flipped or pre-footer (v1)
+// index as Corruption; the caller can rebuild it from the BAM file.
 Result<BamIndex> WriteBamIndex(const std::string& bam_path);
 Result<BamIndex> LoadBamIndex(const std::string& bai_path);
 

@@ -79,9 +79,14 @@ std::string ExplainReport::ToText() const {
            " efficiency=" + StringPrintf("%.1f", 100.0 * WriteEfficiency()) + "%\n";
   }
   out += "  tokenize: ranges=" + std::to_string(tokenize_ranges) +
+         " by-caller=" + std::to_string(tokenize_ranges_by_caller) +
+         " by-helpers=" + std::to_string(tokenize_ranges_by_helpers) +
          " misspeculations=" + std::to_string(tokenize_misspeculations) +
          " repair-bytes=" + std::to_string(tokenize_repair_bytes) +
          " bytes=" + std::to_string(bytes_tokenized) + "\n";
+  out += "  memory: pool-hits=" + std::to_string(pool_hits) +
+         " pool-misses=" + std::to_string(pool_misses) +
+         " minor-faults=" + std::to_string(minor_faults) + "\n";
   if (advisor_used) {
     out += "  " + (advisor_note.empty() ? std::string("advisor: (no note)")
                                         : advisor_note) +
@@ -143,9 +148,16 @@ std::string ExplainReport::ToJson() const {
          ",\"write_efficiency\":" + StringPrintf("%.9g", WriteEfficiency()) +
          ",\"paid_off\":" + (speculation_paid_off ? "true" : "false") + "}";
   out += ",\"tokenize\":{\"ranges\":" + std::to_string(tokenize_ranges) +
+         ",\"ranges_by_caller\":" +
+         std::to_string(tokenize_ranges_by_caller) +
+         ",\"ranges_by_helpers\":" +
+         std::to_string(tokenize_ranges_by_helpers) +
          ",\"misspeculations\":" + std::to_string(tokenize_misspeculations) +
          ",\"repair_bytes\":" + std::to_string(tokenize_repair_bytes) +
          ",\"bytes\":" + std::to_string(bytes_tokenized) + "}";
+  out += ",\"memory\":{\"pool_hits\":" + std::to_string(pool_hits) +
+         ",\"pool_misses\":" + std::to_string(pool_misses) +
+         ",\"minor_faults\":" + std::to_string(minor_faults) + "}";
   out += ",\"advisor\":{\"used\":" +
          std::string(advisor_used ? "true" : "false") + ",\"note\":\"" +
          JsonEscape(advisor_note) + "\"}";

@@ -73,6 +73,19 @@ struct ExplainReport {
   uint64_t tokenize_ranges = 0;
   uint64_t tokenize_misspeculations = 0;
   uint64_t tokenize_repair_bytes = 0;
+  // Of tokenize_ranges: run by the participating caller vs. by the worker
+  // pool's helpers (a caller that runs them all never fanned out).
+  uint64_t tokenize_ranges_by_caller = 0;
+  uint64_t tokenize_ranges_by_helpers = 0;
+
+  // Memory traffic across the query: acquires of the process-wide chunk
+  // buffer pool served from its free lists (hits) or by fresh buffers
+  // (misses), and the process's minor page faults (first touches of fresh
+  // pages). All three are process-wide deltas: queries running at the same
+  // time count each other's traffic.
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  uint64_t minor_faults = 0;
 
   // Cache behavior across the query. Positional-map numbers are
   // query-scoped (counted at the lookup sites, not deltas of shared

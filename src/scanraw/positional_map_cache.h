@@ -50,12 +50,13 @@ class PositionalMapCache {
   std::shared_ptr<const PositionalMap> Lookup(
       uint64_t chunk_index, const PosmapDialect& dialect,
       PosmapOrigin* origin = nullptr) EXCLUDES(mu_) {
+    Dropped dropped;  // released after the lock
     MutexLock lock(mu_);
     auto it = entries_.find(chunk_index);
     if (it != entries_.end() && it->second.dialect != dialect) {
       dialect_drops_.fetch_add(1, std::memory_order_relaxed);
       if (dialect_drop_counter_ != nullptr) dialect_drop_counter_->Add(1);
-      EraseLocked(it);
+      EraseLocked(it, &dropped);
       it = entries_.end();
     }
     if (it == entries_.end()) {
@@ -83,6 +84,7 @@ class PositionalMapCache {
               PosmapOrigin origin = PosmapOrigin::kBuilt) EXCLUDES(mu_) {
     if (capacity_ == 0 || map == nullptr) return;
     const size_t incoming_bytes = map->MemoryBytes();
+    Dropped dropped;  // released after the lock
     MutexLock lock(mu_);
     auto it = entries_.find(chunk_index);
     if (it != entries_.end()) {
@@ -93,18 +95,19 @@ class PositionalMapCache {
       }
       bytes_ -= entry.map->MemoryBytes();
       bytes_ += incoming_bytes;
+      dropped.push_back(std::move(entry.map));
       entry.map = std::move(map);
       entry.dialect = dialect;
       entry.origin = origin;
       fifo_.splice(fifo_.end(), fifo_, entry.fifo_pos);
-      EvictLocked(chunk_index);
+      EvictLocked(chunk_index, &dropped);
       return;
     }
     // Make room first so the new entry itself is never the eviction victim.
     while (!fifo_.empty() &&
            (entries_.size() >= capacity_ ||
             (capacity_bytes_ > 0 && bytes_ + incoming_bytes > capacity_bytes_))) {
-      entries_.erase(PopFrontLocked());
+      EraseLocked(entries_.find(fifo_.front()), &dropped);
     }
     Entry entry;
     entry.map = std::move(map);
@@ -168,28 +171,28 @@ class PositionalMapCache {
     std::list<uint64_t>::iterator fifo_pos;
   };
 
-  void EraseLocked(std::map<uint64_t, Entry>::iterator it) REQUIRES(mu_) {
+  // Maps leaving the cache. A map's last reference may return its slots
+  // to the chunk buffer pool, whose lock ranks above this cache's, so the
+  // references are dropped only after mu_ is released: declare one before
+  // the MutexLock.
+  using Dropped = std::vector<std::shared_ptr<const PositionalMap>>;
+
+  void EraseLocked(std::map<uint64_t, Entry>::iterator it, Dropped* dropped)
+      REQUIRES(mu_) {
     bytes_ -= it->second.map->MemoryBytes();
     fifo_.erase(it->second.fifo_pos);
+    dropped->push_back(std::move(it->second.map));
     entries_.erase(it);
-  }
-
-  // Pops the FIFO head and returns its key; the caller erases the entry.
-  uint64_t PopFrontLocked() REQUIRES(mu_) {
-    const uint64_t victim = fifo_.front();
-    fifo_.pop_front();
-    bytes_ -= entries_.at(victim).map->MemoryBytes();
-    return victim;
   }
 
   // Evicts until both bounds hold, never evicting `keep` (the entry that
   // was just widened — it sits at the FIFO tail, so it is only reachable
   // here when it is the sole entry left).
-  void EvictLocked(uint64_t keep) REQUIRES(mu_) {
+  void EvictLocked(uint64_t keep, Dropped* dropped) REQUIRES(mu_) {
     while (!fifo_.empty() && fifo_.front() != keep &&
            (entries_.size() > capacity_ ||
             (capacity_bytes_ > 0 && bytes_ > capacity_bytes_))) {
-      entries_.erase(PopFrontLocked());
+      EraseLocked(entries_.find(fifo_.front()), dropped);
     }
   }
 

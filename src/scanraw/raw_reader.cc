@@ -34,13 +34,47 @@ SequentialChunker::SequentialChunker(std::unique_ptr<RandomAccessFile> file,
       chunk_rows_(chunk_rows),
       pool_(pool),
       dialect_(dialect),
-      scan_pool_(scan_pool) {}
+      scan_pool_(scan_pool) {
+  // The carry holds up to one read block (the first one is read ahead).
+  if (pool_ != nullptr) carry_ = pool_->AcquireText(kReadBlockBytes);
+}
+
+SequentialChunker::~SequentialChunker() {
+  if (pool_ != nullptr) pool_->ReleaseString(std::move(carry_));
+}
+
+uint64_t SequentialChunker::TextBytesHint() {
+  if (text_hint_ != 0 || !carry_.empty() || eof_) return text_hint_;
+  // First chunk: read the first block ahead and extrapolate its
+  // bytes-per-line to a whole chunk, capped at the file.
+  carry_.resize(kReadBlockBytes);
+  auto n = file_->ReadAt(file_pos_, kReadBlockBytes, carry_.data());
+  carry_.resize(n.ok() ? *n : 0);
+  if (!n.ok()) return 0;  // Next() meets the error on its own read
+  file_pos_ += *n;
+  if (*n == 0) eof_ = true;
+  newline_scratch_.clear();
+  const uint64_t lines = bytescan::FindAll(carry_.data(), 0, carry_.size(),
+                                           '\n', chunk_rows_, 0,
+                                           &newline_scratch_);
+  if (lines == 0) return 0;
+  if (lines >= chunk_rows_) return carry_.size();  // no further read
+  // A line takes at least one byte, so no chunk has more rows than that;
+  // the read loop holds up to one block past the chunk's end (at EOF, the
+  // block that comes back empty).
+  const uint64_t rows = std::min<uint64_t>(chunk_rows_, file_->size());
+  return std::min<uint64_t>(carry_.size() / lines * rows, file_->size()) +
+         kReadBlockBytes;
+}
 
 Result<std::optional<TextChunk>> SequentialChunker::Next() {
+  if (eof_ && carry_.empty()) return std::optional<TextChunk>();
   std::string data;
   if (pool_ != nullptr) {
-    // Recycled buffer; the carry (usually a partial line) is copied in.
-    data = pool_->AcquireText();
+    // Recycled buffer sized for the whole chunk up front (a buffer that
+    // regrew mid-chunk would fault in fresh pages); the carry (usually a
+    // partial line) is copied in.
+    data = pool_->AcquireText(TextBytesHint());
     data.assign(carry_);
   } else {
     data = std::move(carry_);
@@ -110,6 +144,9 @@ Result<std::optional<TextChunk>> SequentialChunker::Next() {
   }
   carry_.assign(data, cut, std::string::npos);
   data.resize(cut);
+  // Any later chunk's buffer needs its bytes plus at most one read block
+  // of the next chunk's head.
+  text_hint_ = std::max<uint64_t>(text_hint_, cut + kReadBlockBytes);
   if (data.empty()) {
     if (pool_ != nullptr) pool_->ReleaseString(std::move(data));
     return std::optional<TextChunk>();
@@ -118,7 +155,7 @@ Result<std::optional<TextChunk>> SequentialChunker::Next() {
   // Line starts from the newline positions already in hand: 0, then one past
   // every newline except a final-byte terminator.
   std::vector<uint32_t> starts;
-  if (pool_ != nullptr) starts = pool_->AcquireLineStarts();
+  if (pool_ != nullptr) starts = pool_->AcquireLineStarts(lines + 1);
   starts.clear();
   starts.push_back(0);
   for (const uint32_t nl : newline_scratch_) {
@@ -140,7 +177,7 @@ Result<TextChunk> ReadChunkAt(const RandomAccessFile& file,
                               ThreadPool* scan_pool,
                               SpeculationStats* spec_stats) {
   std::string data;
-  if (pool != nullptr) data = pool->AcquireText();
+  if (pool != nullptr) data = pool->AcquireText(meta.raw_size);
   data.resize(meta.raw_size);
   auto n = file.ReadAt(meta.raw_offset, meta.raw_size, data.data());
   if (!n.ok()) return n.status();
@@ -151,7 +188,12 @@ Result<TextChunk> ReadChunkAt(const RandomAccessFile& file,
         static_cast<unsigned long long>(meta.raw_size)));
   }
   std::vector<uint32_t> starts;
-  if (pool != nullptr) starts = pool->AcquireLineStarts();
+  if (pool != nullptr) {
+    // The catalog's row count sizes the vector; a line takes at least one
+    // byte, which bounds it whatever the catalog says.
+    starts = pool->AcquireLineStarts(
+        std::min<uint64_t>(meta.num_rows, meta.raw_size) + 1);
+  }
   if (!dialect.quoted) {
     FindLineStarts(data, &starts);
   } else {

@@ -40,6 +40,10 @@ class SequentialChunker {
       ChunkBufferPool* pool = nullptr, RecordDialect dialect = RecordDialect(),
       ThreadPool* scan_pool = nullptr);
 
+  ~SequentialChunker();
+  SequentialChunker(const SequentialChunker&) = delete;
+  SequentialChunker& operator=(const SequentialChunker&) = delete;
+
   // Returns the next chunk, or nullopt at end of file.
   Result<std::optional<TextChunk>> Next();
 
@@ -51,6 +55,11 @@ class SequentialChunker {
                     uint64_t chunk_rows, ChunkBufferPool* pool,
                     RecordDialect dialect, ThreadPool* scan_pool);
 
+  // Capacity to ask the pool for: learned from the chunks cut so far, or
+  // for the first chunk, extrapolated from a first block read ahead into
+  // the carry.
+  uint64_t TextBytesHint();
+
   std::unique_ptr<RandomAccessFile> file_;
   const uint64_t chunk_rows_;
   ChunkBufferPool* const pool_;  // may be null
@@ -59,8 +68,9 @@ class SequentialChunker {
   SpeculationStats spec_stats_;
   uint64_t file_pos_ = 0;        // next byte to read from the file
   uint64_t next_chunk_index_ = 0;
-  std::string carry_;            // bytes after the last complete record
+  std::string carry_;  // bytes after the last complete record (pooled)
   std::vector<uint32_t> newline_scratch_;  // newline positions, reused
+  uint64_t text_hint_ = 0;
   bool eof_ = false;
 };
 

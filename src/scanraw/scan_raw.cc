@@ -1,5 +1,7 @@
 #include "scanraw/scan_raw.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -18,6 +20,7 @@
 #include "format/json_tokenizer.h"
 #include "format/tokenizer.h"
 #include "pipeline/thread_pool.h"
+#include "scanraw/chunk_buffer_pool.h"
 #include "scanraw/raw_reader.h"
 
 namespace scanraw {
@@ -60,6 +63,11 @@ constexpr std::array<std::string_view, kNumProfileCounters>
         "scanraw.tokenize.repair_bytes",
         "scanraw.tokenize.bytes",
         "scanraw.posmap.disk_chunks",
+        "scanraw.tokenize.ranges_by_caller",
+        "scanraw.tokenize.ranges_by_helper",
+        "scanraw.pool.buffer_hits",
+        "scanraw.pool.buffer_misses",
+        "scanraw.minor_faults",
 };
 static_assert(!kProfileCounterNames.back().empty(), "one name per counter");
 
@@ -72,6 +80,12 @@ constexpr std::pair<obs::Stage, std::string_view> kStageHistograms[] = {
 };
 
 }  // namespace
+
+uint64_t MinorPageFaults() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
 
 PipelineProfile::Counts PipelineProfile::Counts::operator-(
     const Counts& base) const {
@@ -239,6 +253,10 @@ struct ScanRaw::QueryRun::Impl {
   }
 
   void Start() {
+    const ChunkBufferPool* buffers = ChunkBufferPool::Instance();
+    pool_hits_base = buffers->hits();
+    pool_misses_base = buffers->misses();
+    minor_faults_base = MinorPageFaults();
     profiler.Begin();  // re-anchor: setup (catalog reads) is not query time
     parent->RegisterObservers(&profiler, &progress, required_columns);
     read_thread = std::thread([this] { ReadLoop(); });
@@ -349,6 +367,10 @@ struct ScanRaw::QueryRun::Impl {
                       const SpeculationStats& seen = {}) {
     PipelineProfile& p = parent->profile_;
     p.Add(ProfileCounter::kTokenizeRanges, cur.ranges - seen.ranges);
+    p.Add(ProfileCounter::kTokenizeRangesByCaller,
+          cur.fan_out.by_caller - seen.fan_out.by_caller);
+    p.Add(ProfileCounter::kTokenizeRangesByHelper,
+          cur.fan_out.by_helpers - seen.fan_out.by_helpers);
     p.Add(ProfileCounter::kTokenizeMisspeculations,
           cur.misspeculations - seen.misspeculations);
     p.Add(ProfileCounter::kTokenizeRepairBytes,
@@ -360,7 +382,7 @@ struct ScanRaw::QueryRun::Impl {
   void DiscoveryScan() {
     auto chunker = SequentialChunker::Open(
         meta.raw_path, parent->options_.chunk_rows, parent->raw_limiter_,
-        &parent->raw_io_stats_, parent->buffer_pool_.get(), Dialect(),
+        &parent->raw_io_stats_, ChunkBufferPool::Instance(), Dialect(),
         ScanPool());
     if (!chunker.ok()) {
       ReportError(chunker.status());
@@ -487,7 +509,7 @@ struct ScanRaw::QueryRun::Impl {
         obs::StageScope stage(sinks, obs::Stage::kRead,
                               obs::ChunkSource::kRaw, cm->chunk_index);
         stage.set_detail(cm->raw_size);
-        return ReadChunkAt(**file, *cm, parent->buffer_pool_.get(),
+        return ReadChunkAt(**file, *cm, ChunkBufferPool::Instance(),
                            Dialect(), ScanPool(), &spec);
       }();
       AddSpeculation(spec);
@@ -529,22 +551,25 @@ struct ScanRaw::QueryRun::Impl {
       return built;
     }();
     AddSpeculation(spec);
-    PushMap(text, std::move(map), dialect, use_map_cache);
+    PushMap(text, std::move(map), dialect, use_map_cache, /*pooled=*/true);
   }
 
   // Hands a freshly built map to PARSE, caching it when enabled. The whole
   // chunk counts as tokenized bytes, even when an extend scanned only the
   // unmapped suffix: the fully-mapped skip path in TokenizeLoop is the
-  // only zero-byte outcome.
+  // only zero-byte outcome. A `pooled` map drew its slots from the chunk
+  // buffer pool and returns them when its last reference drops (the JSON
+  // tokenizer allocates its own).
   void PushMap(const std::shared_ptr<TextChunk>& text,
                Result<PositionalMap> map, const PosmapDialect& dialect,
-               bool use_map_cache) {
+               bool use_map_cache, bool pooled) {
     parent->profile_.Add(ProfileCounter::kBytesTokenized, text->data.size());
     if (!map.ok()) {
       ReportError(map.status());
       return;
     }
-    auto shared = std::make_shared<PositionalMap>(std::move(*map));
+    auto shared = ChunkBufferPool::WrapMap(
+        std::move(*map), pooled ? ChunkBufferPool::Instance() : nullptr);
     if (use_map_cache) {
       parent->positional_maps_.Insert(text->chunk_index, shared, dialect);
     }
@@ -563,6 +588,7 @@ struct ScanRaw::QueryRun::Impl {
     for (size_t c : required_columns) max_needed = std::max(max_needed, c + 1);
     topts.max_fields = json ? 0 : max_needed;
     topts.quoted = Dialect().quoted;
+    topts.recycler = ChunkBufferPool::Instance();
 
     const bool use_map_cache = parent->options_.cache_positional_maps;
     // Must match TokenizeDialectFor: the dialect tag under which maps are
@@ -572,8 +598,8 @@ struct ScanRaw::QueryRun::Impl {
       // The chunk is shared by the TOKENIZE and PARSE tasks; wrapping it
       // through the pool returns its text buffer for reuse only when the
       // last holder lets go.
-      auto text =
-          ChunkBufferPool::WrapText(std::move(*item), parent->buffer_pool_);
+      auto text = ChunkBufferPool::WrapText(std::move(*item),
+                                            ChunkBufferPool::Instance());
       // Positional map cache (§2): a cached map that already covers the
       // needed fields skips TOKENIZE outright; a partial one is extended
       // from its last mapped attribute. A map cached under a different
@@ -628,7 +654,8 @@ struct ScanRaw::QueryRun::Impl {
           if (built.ok()) stage.set_detail(built->num_rows());
           return built;
         }();
-        PushMap(text, std::move(map), dialect, use_map_cache);
+        PushMap(text, std::move(map), dialect, use_map_cache,
+                /*pooled=*/!json);
         MutexLock lock(inflight_mu);
         --tokenize_inflight;
         inflight_cv.NotifyAll();
@@ -653,7 +680,7 @@ struct ScanRaw::QueryRun::Impl {
   void ParseLoop() {
     ParseOptions popts;
     popts.projected_columns = required_columns;
-    popts.recycler = parent->buffer_pool_.get();
+    popts.recycler = ChunkBufferPool::Instance();
     popts.unescape_quotes = Dialect().quoted;
     if (PushdownActive()) {
       popts.pushdown = PushdownFilter{skip_filter->column, skip_filter->lo,
@@ -685,8 +712,8 @@ struct ScanRaw::QueryRun::Impl {
                                parsed->num_rows());
           parent->profile_.Add(ProfileCounter::kBytesConverted,
                                tokenized.text->data.size());
-          DeliverConverted(ChunkBufferPool::WrapChunk(std::move(*parsed),
-                                                      parent->buffer_pool_));
+          DeliverConverted(ChunkBufferPool::WrapChunk(
+              std::move(*parsed), ChunkBufferPool::Instance()));
         } else {
           ReportError(parsed.status());
         }
@@ -780,6 +807,19 @@ struct ScanRaw::QueryRun::Impl {
     // Abandoned or failed runs skip the pin: their final callback reports
     // honest partial progress.
     if (!abandoned && GetStatus().ok()) progress.MarkComplete();
+    // Every acquire of this run happened on the threads just joined.
+    const ChunkBufferPool* buffers = ChunkBufferPool::Instance();
+    PipelineProfile& p = parent->profile_;
+    p.Add(ProfileCounter::kPoolBufferHits, buffers->hits() - pool_hits_base);
+    p.Add(ProfileCounter::kPoolBufferMisses,
+          buffers->misses() - pool_misses_base);
+    p.Add(ProfileCounter::kMinorFaults,
+          std::max(MinorPageFaults(), minor_faults_base) - minor_faults_base);
+    if (parent->options_.telemetry != nullptr) {
+      parent->options_.telemetry->metrics()
+          .GetGauge("scanraw.pool.idle_buffers")
+          ->Set(static_cast<int64_t>(buffers->idle_buffers()));
+    }
     // Stop after the pipeline drains so the final sample reflects the
     // settled end state.
     if (sampler.has_value()) sampler->Stop();
@@ -844,6 +884,12 @@ struct ScanRaw::QueryRun::Impl {
 
   std::atomic<int64_t> invisible_budget;
 
+  // Process-wide memory counters at Start(); JoinAll folds the deltas into
+  // the profile.
+  uint64_t pool_hits_base = 0;
+  uint64_t pool_misses_base = 0;
+  uint64_t minor_faults_base = 0;
+
   mutable Mutex status_mu{LockRank::kScanStatus, "ScanRaw.status_mu"};
   Status first_error GUARDED_BY(status_mu);
 };
@@ -902,9 +948,6 @@ ScanRaw::ScanRaw(std::string table, Catalog* catalog, StorageManager* storage,
         registry.GetCounter("scanraw.posmap.misses"),
         registry.GetCounter("scanraw.posmap.disk_hits"),
         registry.GetCounter("scanraw.posmap.dialect_drops"));
-    buffer_pool_->BindMetrics(registry.GetCounter("scanraw.pool.buffer_hits"),
-                              registry.GetCounter("scanraw.pool.buffer_misses"),
-                              registry.GetGauge("scanraw.pool.idle_buffers"));
     cache_.BindMetrics(registry.GetCounter("scanraw.cache.hits"),
                        registry.GetCounter("scanraw.cache.misses"),
                        registry.GetCounter("scanraw.cache.evictions"),
@@ -1083,6 +1126,13 @@ Result<QueryResult> ScanRaw::ExecuteQuery(const QuerySpec& spec,
     report->tokenize_misspeculations =
         delta[ProfileCounter::kTokenizeMisspeculations];
     report->tokenize_repair_bytes = delta[ProfileCounter::kTokenizeRepairBytes];
+    report->tokenize_ranges_by_caller =
+        delta[ProfileCounter::kTokenizeRangesByCaller];
+    report->tokenize_ranges_by_helpers =
+        delta[ProfileCounter::kTokenizeRangesByHelper];
+    report->pool_hits = delta[ProfileCounter::kPoolBufferHits];
+    report->pool_misses = delta[ProfileCounter::kPoolBufferMisses];
+    report->minor_faults = delta[ProfileCounter::kMinorFaults];
     report->read_blocked_events = delta[ProfileCounter::kReadBlockedEvents];
     report->bytes_written =
         (storage_ != nullptr ? storage_->bytes_written() : 0) - base_bytes;

@@ -34,7 +34,6 @@
 #include "obs/stage.h"
 #include "obs/telemetry.h"
 #include "pipeline/bounded_queue.h"
-#include "scanraw/chunk_buffer_pool.h"
 #include "scanraw/chunk_cache.h"
 #include "scanraw/options.h"
 #include "scanraw/positional_map_cache.h"
@@ -77,10 +76,21 @@ enum class ProfileCounter : uint8_t {
   // Chunks whose positional map came from a persisted sidecar
   // (`posmap-disk` provenance).
   kPosmapDiskChunks,
+  // Fan-out of the parallel TOKENIZE ranges counted in kTokenizeRanges:
+  // run by the participating caller vs. by the pool's helpers.
+  kTokenizeRangesByCaller,
+  kTokenizeRangesByHelper,
+  // Per-query deltas of the process-wide ChunkBufferPool's hit/miss
+  // counters and of the process's minor page faults (getrusage), taken
+  // from the query's start to its pipeline's join. Both are process-wide:
+  // queries running at the same time count each other's traffic.
+  kPoolBufferHits,
+  kPoolBufferMisses,
+  kMinorFaults,
 };
 
 inline constexpr size_t kNumProfileCounters =
-    static_cast<size_t>(ProfileCounter::kPosmapDiskChunks) + 1;
+    static_cast<size_t>(ProfileCounter::kMinorFaults) + 1;
 
 // Per-stage profiling ("special function calls to harness detailed
 // profiling data", §5): the stage totals every StageScope of the operator
@@ -150,6 +160,12 @@ obs::QueryLogEvent MakeQueryLogEvent(std::string_view table,
                                      const obs::ExplainReport* report,
                                      const QueryResult* result,
                                      const Status& status);
+
+// Minor page faults (first touches of fresh pages) the process has taken
+// so far, from getrusage; 0 if that fails. EXPLAIN's `memory:` line
+// reports its delta across a query, which counts every thread's faults:
+// concurrent queries fold together.
+uint64_t MinorPageFaults();
 
 // Appends `event` to `log`; a failed append is logged, never returned.
 void AppendToQueryLog(obs::QueryLog* log, obs::QueryLogEvent event);
@@ -339,9 +355,6 @@ class ScanRaw : private obs::SpanSink {
 
   ChunkCache cache_;
   PositionalMapCache positional_maps_;
-  // Buffer recycler shared by READ/PARSE and the chunk release paths.
-  const std::shared_ptr<ChunkBufferPool> buffer_pool_ =
-      std::make_shared<ChunkBufferPool>();
   TableSketches sketches_;
   // Chunks already folded into the sketches, so re-scans do not bias the
   // reservoir sample (the KMV sketch is naturally idempotent).

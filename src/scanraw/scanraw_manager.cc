@@ -1,5 +1,6 @@
 #include "scanraw/scanraw_manager.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/clock.h"
@@ -328,6 +329,7 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
                          : (query_log != nullptr ? &local_report : nullptr);
   obs::SpanProfiler profiler;
   obs::SpanProfiler* spans = report != nullptr ? &profiler : nullptr;
+  const uint64_t faults_before = MinorPageFaults();
   HeapScanStream stream(*meta, storage_.get(), spec.RequiredColumns(),
                         spec.predicate.range, spans);
   stream.scan().BindMetrics(
@@ -344,6 +346,8 @@ Result<QueryResult> ScanRawManager::Query(const std::string& table,
     report->chunks_skipped = stream.scan().chunks_skipped();
     report->loaded_fraction_before = 1.0;
     report->loaded_fraction_after = 1.0;
+    report->minor_faults =
+        std::max(MinorPageFaults(), faults_before) - faults_before;
   }
   if (query_log != nullptr) {
     AppendToQueryLog(

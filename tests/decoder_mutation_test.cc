@@ -2,11 +2,11 @@
 // query-log line reader (QueryLogEvent::FromJsonLine), the bench-artifact
 // reader (ParseBenchJson), the chunk page (DeserializeChunk,
 // ParseSegmentHeader, StorageManager::ReadChunkColumns), the posmap sidecar
-// (DecodePosmapSidecar) and the BAM-like block reader (BamReader). Plain
-// gtest with a fixed seed and no fuzzing engine: each case mutates a valid
-// input by byte flips, byte overwrites, truncations, insertions, deletions
-// and duplicated spans, and the decoder must answer false / a Status or a
-// value. It must never crash (the ASan and UBSan suites run this binary),
+// (DecodePosmapSidecar), the BAM-like block reader (BamReader) and its
+// .bai index (LoadBamIndex). Plain gtest with a fixed seed and no fuzzing
+// engine: each case mutates a valid input by byte flips, byte overwrites,
+// truncations, insertions, deletions and duplicated spans, and the decoder
+// must answer false / a Status or a value. It must never crash (the ASan and UBSan suites run this binary),
 // never hang (ctest's timeout), and never allocate more than a small
 // multiple of the input's size. The binary formats are checksummed, so half
 // of their cases re-seal the mutated bytes with valid CRC32Cs first: those
@@ -149,7 +149,7 @@ void ResealPage(std::string* page) {
                     Crc32c(std::string_view(*page).substr(12, header_len)));
 }
 
-// Rewrites a mutated sidecar's whole-file CRC footer.
+// Rewrites a mutated sidecar's (or .bai index's) whole-file CRC footer.
 void ResealSidecar(std::string* sidecar) {
   if (sidecar->size() < 4) return;
   const size_t body = sidecar->size() - 4;
@@ -400,6 +400,37 @@ TEST(DecoderMutationTest, BamBlock) {
     // Each record takes at least one byte per field, so a decode that ends
     // has read no more records than the file has bytes.
     EXPECT_LE(records, input.size());
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kCases);
+}
+
+TEST(DecoderMutationTest, BamIndex) {
+  const std::string bam_path = TempPath("mutation_index.bam");
+  SamGenSpec spec;
+  spec.num_reads = 12;
+  spec.read_length = 24;
+  ASSERT_TRUE(GenerateBamFile(bam_path, spec, /*records_per_block=*/2).ok());
+  ASSERT_TRUE(WriteBamIndex(bam_path).ok());
+  auto golden = ReadFileToString(bam_path + ".bai");
+  ASSERT_TRUE(golden.ok());
+  const std::string path = TempPath("mutation_case.bai");
+  Mutator mutator(0x5eed'0007);
+  int accepted = 0;
+  for (int i = 0; i < kCases; ++i) {
+    std::string input = mutator.Mutate(*golden);
+    if (i % 2 == 1) ResealSidecar(&input);
+    ASSERT_TRUE(WriteStringToFile(path, input).ok());
+    Status status;
+    size_t blocks = 0;
+    DecodeWithinBudget(input, [&] {
+      auto index = LoadBamIndex(path);
+      status = index.status();
+      if (index.ok()) blocks = index->blocks.size();
+    });
+    if (status.ok()) ++accepted;
+    // Each entry takes 28 bytes of the file.
+    EXPECT_LE(blocks, input.size() / 28);
   }
   EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, kCases);

@@ -201,6 +201,33 @@ TEST(ExplainReportTest, JsonIsWellFormedAndCarriesChunkProvenance) {
   EXPECT_EQ(depth, 0);
 }
 
+TEST(ExplainReportTest, MemoryAndFanOutLinesInTextAndJson) {
+  ExplainReport report = MakeReport();
+  report.tokenize_ranges = 8;
+  report.tokenize_ranges_by_caller = 5;
+  report.tokenize_ranges_by_helpers = 3;
+  report.pool_hits = 40;
+  report.pool_misses = 2;
+  report.minor_faults = 123;
+  const std::string text = report.ToText();
+  EXPECT_NE(text.find("  tokenize: ranges=8 by-caller=5 by-helpers=3 "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  memory: pool-hits=40 pool-misses=2 "
+                      "minor-faults=123\n"),
+            std::string::npos)
+      << text;
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"ranges\":8,\"ranges_by_caller\":5,"
+                      "\"ranges_by_helpers\":3"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"memory\":{\"pool_hits\":40,\"pool_misses\":2,"
+                      "\"minor_faults\":123}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ExplainReportTest, HitRateHandlesZeroTotal) {
   ExplainReport report;
   EXPECT_EQ(report.HitRate(0, 0), 0.0);

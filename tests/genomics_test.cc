@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string_view>
+
+#include "common/crc32c.h"
+
 #include "genomics/bam_like.h"
 #include "genomics/sam.h"
 #include "io/file.h"
@@ -256,6 +261,54 @@ TEST(BamIndexTest, PersistedIndexRoundTrips) {
 TEST(BamIndexTest, CorruptIndexRejected) {
   const std::string path = TempPath("garbage.bai");
   ASSERT_TRUE(WriteStringToFile(path, "not an index").ok());
+  EXPECT_TRUE(LoadBamIndex(path).status().IsCorruption());
+}
+
+// The 48-byte index whose entry count, 2^62 + 1, wrapped the old
+// `20 + count * 28` size check to 48: the decoder then resized its block
+// table to 2^62 + 1 entries and the process died on std::length_error.
+std::string WrappingCountIndex(uint32_t magic) {
+  std::string blob(48, '\0');
+  const uint64_t num_reads = 1;
+  const uint64_t count = (uint64_t{1} << 62) + 1;
+  std::memcpy(blob.data(), &magic, 4);
+  std::memcpy(blob.data() + 4, &num_reads, 8);
+  std::memcpy(blob.data() + 12, &count, 8);
+  return blob;
+}
+
+TEST(BamIndexTest, WrappingEntryCountIsCorruption) {
+  const std::string path = TempPath("wrapping_count.bai");
+  // As a v1 index ("SBAI", no checksum).
+  ASSERT_TRUE(WriteStringToFile(path, WrappingCountIndex(0x49414253)).ok());
+  EXPECT_TRUE(LoadBamIndex(path).status().IsCorruption());
+  // As a v2 index with a valid checksum, so the count bound itself decides.
+  std::string sealed = WrappingCountIndex(0x32414253);
+  const uint32_t crc = Crc32c(std::string_view(sealed).substr(0, 44));
+  std::memcpy(sealed.data() + 44, &crc, 4);
+  ASSERT_TRUE(WriteStringToFile(path, sealed).ok());
+  EXPECT_TRUE(LoadBamIndex(path).status().IsCorruption());
+}
+
+TEST(BamIndexTest, FlippedBitAndOldVersionAreCorruption) {
+  const std::string bam_path = TempPath("bai_flip.bam");
+  SamGenSpec spec;
+  spec.num_reads = 50;
+  ASSERT_TRUE(GenerateBamFile(bam_path, spec, 16).ok());
+  ASSERT_TRUE(WriteBamIndex(bam_path).ok());
+  auto bytes = ReadFileToString(bam_path + ".bai");
+  ASSERT_TRUE(bytes.ok());
+  const std::string path = TempPath("bai_flip.bai");
+  // A flipped bit in a stored chain state is caught by the footer.
+  std::string flipped = *bytes;
+  flipped[20 + 20] ^= 0x10;
+  ASSERT_TRUE(WriteStringToFile(path, flipped).ok());
+  EXPECT_TRUE(LoadBamIndex(path).status().IsCorruption());
+  // The v1 layout: old magic, no footer.
+  std::string v1 = bytes->substr(0, bytes->size() - 4);
+  const uint32_t v1_magic = 0x49414253;
+  std::memcpy(v1.data(), &v1_magic, 4);
+  ASSERT_TRUE(WriteStringToFile(path, v1).ok());
   EXPECT_TRUE(LoadBamIndex(path).status().IsCorruption());
 }
 

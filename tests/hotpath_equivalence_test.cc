@@ -641,5 +641,98 @@ TEST(HotpathEquivalenceTest, RecycledBuffersProduceIdenticalOutput) {
   }
 }
 
+// Hands out the pool's buffers with every byte of their capacity
+// overwritten by garbage, so output that read a slot or value it never
+// wrote would differ from the reference.
+class GarbageFilledSource : public ColumnBufferSource {
+ public:
+  explicit GarbageFilledSource(ChunkBufferPool* pool) : pool_(pool) {}
+
+  std::vector<uint8_t> AcquireFixed(size_t min_bytes) override {
+    return Soiled(pool_->AcquireFixed(min_bytes), uint8_t{0xA5});
+  }
+  std::string AcquireString(size_t min_bytes) override {
+    return Soiled(pool_->AcquireString(min_bytes), '\xA5');
+  }
+  std::vector<uint32_t> AcquireOffsets(size_t min_count) override {
+    return Soiled(pool_->AcquireOffsets(min_count), 0xDEADBEEFu);
+  }
+  void ReleaseFixed(std::vector<uint8_t> buffer) override {
+    pool_->ReleaseFixed(std::move(buffer));
+  }
+  void ReleaseString(std::string buffer) override {
+    pool_->ReleaseString(std::move(buffer));
+  }
+  void ReleaseOffsets(std::vector<uint32_t> buffer) override {
+    pool_->ReleaseOffsets(std::move(buffer));
+  }
+
+ private:
+  template <typename Buffer, typename Value>
+  static Buffer Soiled(Buffer buffer, Value garbage) {
+    buffer.assign(buffer.capacity(), garbage);
+    buffer.clear();
+    return buffer;
+  }
+
+  ChunkBufferPool* const pool_;
+};
+
+TEST(HotpathEquivalenceTest, GarbageFilledRecycledBuffersMatchReference) {
+  Random rng(4242);
+  ChunkBufferPool pool;
+  GarbageFilledSource source(&pool);
+  ThreadPool workers(2);
+  for (int iter = 0; iter < 40; ++iter) {
+    RandomCsv csv = MakeRandomCsv(&rng, iter);
+    const std::string context = "iter " + std::to_string(iter);
+    TokenizeOptions topts = TokOpts(csv.schema);
+    auto ref_map = reference::RefTokenizeChunk(csv.chunk, topts);
+    ASSERT_TRUE(ref_map.ok()) << context;
+    auto ref_parsed =
+        reference::RefParseChunk(csv.chunk, *ref_map, csv.schema, {});
+    ASSERT_TRUE(ref_parsed.ok()) << context;
+    topts.recycler = &source;
+
+    // Sequential and parallel TOKENIZE into recycled slot arrays.
+    auto map = TokenizeChunk(csv.chunk, topts);
+    ASSERT_TRUE(map.ok()) << context;
+    ExpectMapsEqual(*map, *ref_map, context);
+    ParallelTokenizeOptions ptopts;
+    ptopts.pool = &workers;
+    ptopts.num_ranges = 1 + rng.Uniform(5);
+    ptopts.min_range_bytes = 1;
+    auto par_map = ParallelTokenizeChunk(csv.chunk, topts, ptopts, nullptr);
+    ASSERT_TRUE(par_map.ok()) << context;
+    ExpectMapsEqual(*par_map, *ref_map, context + " (parallel)");
+
+    // Extending a selective map also writes a recycled array.
+    if (csv.schema.num_columns() > 1) {
+      TokenizeOptions narrow = topts;
+      narrow.max_fields = 1 + rng.Uniform(csv.schema.num_columns() - 1);
+      auto partial = TokenizeChunk(csv.chunk, narrow);
+      ASSERT_TRUE(partial.ok()) << context;
+      auto extended = ExtendTokenizeMap(csv.chunk, *partial, topts);
+      ASSERT_TRUE(extended.ok()) << context;
+      ExpectMapsEqual(*extended, *ref_map, context + " (extended)");
+      pool.ReleaseOffsets(partial->ReleaseSlots());
+      pool.ReleaseOffsets(extended->ReleaseSlots());
+    }
+
+    // PARSE into recycled column buffers.
+    ParseOptions popts;
+    popts.recycler = &source;
+    auto parsed = ParseChunk(csv.chunk, *map, csv.schema, popts);
+    ASSERT_TRUE(parsed.ok()) << context;
+    ExpectChunksEqual(*parsed, *ref_parsed, context);
+
+    // Everything goes home to be soiled and handed out again.
+    pool.ReleaseOffsets(map->ReleaseSlots());
+    pool.ReleaseOffsets(par_map->ReleaseSlots());
+    parsed->ReleaseBuffersTo(&pool);
+  }
+  EXPECT_GT(pool.hits(), 0u);
+}
+
 }  // namespace
 }  // namespace scanraw

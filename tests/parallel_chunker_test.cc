@@ -6,6 +6,7 @@
 // the chunker, tokenizer, and parser against generated ground truth.
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,62 @@ TEST(ParallelForTest, RunsEveryIndexOnceWithAndWithoutPool) {
   std::atomic<size_t> sum{0};
   ParallelFor(nullptr, 10, [&](size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 45u);
+}
+
+TEST(ParallelForTest, FanOutCountsTheCallersRanges) {
+  // No workers: the caller runs every range.
+  ThreadPool empty(0);
+  FanOut fan_out = ParallelFor(&empty, 12, [](size_t) {});
+  EXPECT_EQ(fan_out.by_caller, 12u);
+  EXPECT_EQ(fan_out.by_helpers, 0u);
+
+  // The only worker is held busy: the helper task queues behind the
+  // blocker, and the caller has claimed every range before it runs.
+  ThreadPool busy(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> started;
+  busy.Submit([&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  started.get_future().wait();
+  std::atomic<size_t> ran{0};
+  fan_out = ParallelFor(&busy, 12, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 12u);
+  EXPECT_EQ(fan_out.by_caller, 12u);
+  EXPECT_EQ(fan_out.by_helpers, 0u);
+  release.set_value();
+  busy.WaitIdle();
+
+  // With idle helpers the split still adds up.
+  ThreadPool idle(3);
+  fan_out = ParallelFor(&idle, 40, [](size_t) {});
+  EXPECT_EQ(fan_out.by_caller + fan_out.by_helpers, 40u);
+}
+
+TEST(ParallelForTest, TokenizeStatsCarryTheFanOut) {
+  CsvSpec spec;
+  spec.num_rows = 4000;
+  spec.num_columns = 6;
+  spec.seed = 3;
+  const std::string path = testing::TempDir() + "/fan_out.csv";
+  ASSERT_TRUE(GenerateCsvFile(path, spec).ok());
+  auto chunker = SequentialChunker::Open(path, spec.num_rows);
+  ASSERT_TRUE(chunker.ok());
+  auto chunk = (*chunker)->Next();
+  ASSERT_TRUE(chunk.ok() && chunk->has_value());
+  TokenizeOptions topts;
+  topts.schema_fields = spec.num_columns;
+  ThreadPool pool(2);
+  ParallelTokenizeOptions ptopts;
+  ptopts.pool = &pool;
+  ptopts.num_ranges = 8;
+  ptopts.min_range_bytes = 1;
+  SpeculationStats stats;
+  ASSERT_TRUE(ParallelTokenizeChunk(**chunk, topts, ptopts, &stats).ok());
+  EXPECT_EQ(stats.ranges, 8u);
+  EXPECT_EQ(stats.fan_out.by_caller + stats.fan_out.by_helpers, 8u);
 }
 
 TEST(RecordScanTest, QuotedNewlinesDoNotTerminateRecords) {

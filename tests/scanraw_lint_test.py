@@ -814,6 +814,57 @@ class LintTest(unittest.TestCase):
         code, out = self.lint("src/format/x.cc")
         self.assertEqual(code, 0, out)
 
+    # ---- one-buffer-pool ----
+
+    def test_one_buffer_pool_make_shared_caught(self):
+        self.write("src/scanraw/scan_raw.h",
+                   "class ScanRaw {\n"
+                   "  const std::shared_ptr<ChunkBufferPool> buffer_pool_ =\n"
+                   "      std::make_shared<ChunkBufferPool>();\n};\n")
+        code, out = self.lint("src/scanraw/scan_raw.h")
+        self.assertEqual(code, 1)
+        self.assertIn("src/scanraw/scan_raw.h:3: [one-buffer-pool]", out)
+
+    def test_one_buffer_pool_every_construction_caught(self):
+        self.write("src/format/x.cc",
+                   "ChunkBufferPool pool;\n"
+                   "scanraw::ChunkBufferPool sized(64);\n"
+                   "auto* p = new ChunkBufferPool;\n"
+                   "auto u = std::make_unique<scanraw::ChunkBufferPool>();\n"
+                   "Use(ChunkBufferPool());\n"
+                   "Use(ChunkBufferPool{});\n")
+        code, out = self.lint("src/format/x.cc")
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[one-buffer-pool]"), 6, out)
+
+    def test_one_buffer_pool_uses_of_the_instance_pass(self):
+        self.write("src/scanraw/x.cc",
+                   "class ChunkBufferPool;\n"
+                   "ChunkBufferPool* pool = ChunkBufferPool::Instance();\n"
+                   "const ChunkBufferPool& ref = *pool;\n"
+                   "auto t = ChunkBufferPool::WrapText(std::move(c), pool);\n"
+                   "void F(ChunkBufferPool* pool = nullptr);\n"
+                   "// ChunkBufferPool pool; in a comment\n")
+        code, out = self.lint("src/scanraw/x.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_one_buffer_pool_exempt_in_its_own_files_and_tests(self):
+        body = ("ChunkBufferPool* ChunkBufferPool::Instance() {\n"
+                "  static ChunkBufferPool* const pool = new ChunkBufferPool();\n"
+                "  return pool;\n}\n")
+        self.write("src/scanraw/chunk_buffer_pool.cc", body)
+        self.write("tests/chunk_buffer_pool_test.cc", "ChunkBufferPool pool;\n")
+        code, out = self.lint("src/scanraw/chunk_buffer_pool.cc",
+                              "tests/chunk_buffer_pool_test.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_one_buffer_pool_suppressed(self):
+        self.write("src/format/x.cc",
+                   "// scanraw-lint: allow(one-buffer-pool)\n"
+                   "ChunkBufferPool pool;\n")
+        code, out = self.lint("src/format/x.cc")
+        self.assertEqual(code, 0, out)
+
     def test_clean_tree_exits_zero(self):
         self.write("src/io/a.cc", 'Mutex a{LockRank::kLeaf, "a"};\n')
         self.write("src/io/foo.h", self.good_header())

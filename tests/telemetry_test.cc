@@ -9,6 +9,7 @@
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/csv_generator.h"
@@ -263,6 +264,103 @@ TEST(ProfileReconcileTest, DiscoveryScanCountsEachReadOnce) {
     }
   }
   EXPECT_EQ(traced_reads, chunks);
+}
+
+// ------------------------------------------------ process-wide buffers ---
+
+ScanRawOptions ExternalOptions(uint64_t chunk_rows) {
+  ScanRawOptions options;
+  options.policy = LoadPolicy::kExternalTables;
+  options.num_workers = 2;
+  options.chunk_rows = chunk_rows;
+  options.cache_capacity_chunks = 0;
+  options.cache_positional_maps = false;
+  return options;
+}
+
+QuerySpec SumOfAll(size_t cols) {
+  QuerySpec q;
+  for (size_t c = 0; c < cols; ++c) q.sum_columns.push_back(c);
+  return q;
+}
+
+// A query on a second manager over the same file converts entirely on the
+// buffers the first manager's query released: one chunk, so the pipeline
+// needs the same buffers at its peak both times.
+TEST(BufferPoolReuseTest, SecondManagerFullQueryMissesNothing) {
+  const ScanRawOptions options = ExternalOptions(/*chunk_rows=*/8000);
+  obs::ExplainReport first;
+  std::string csv_path;
+  Schema schema;
+  uint64_t first_sum = 0;
+  uint64_t first_rows = 0;
+  {
+    auto f = Fixture::Make("pool_reuse", options);
+    csv_path = f.csv_path;
+    schema = f.schema;
+    auto result = f.manager->Query("t", SumOfAll(8), &first);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->total_sum, f.info.total_sum);
+    first_sum = result->total_sum;
+    first_rows = result->rows_matched;
+    // Counted per query in the registry too.
+    obs::MetricsRegistry& registry = f.manager->telemetry()->metrics();
+    EXPECT_EQ(registry.GetCounter("scanraw.pool.buffer_misses")->value(),
+              first.pool_misses);
+    EXPECT_EQ(registry.GetCounter("scanraw.pool.buffer_hits")->value(),
+              first.pool_hits);
+    EXPECT_EQ(registry.GetCounter("scanraw.minor_faults")->value(),
+              first.minor_faults);
+  }
+
+  ScanRawManager::Config config;
+  config.db_path = TempPath("pool_reuse_second.db");
+  auto manager = ScanRawManager::Create(config);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->RegisterRawFile("t", csv_path, schema, options).ok());
+  obs::ExplainReport second;
+  auto result = (*manager)->Query("t", SumOfAll(8), &second);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->total_sum, first_sum);
+  EXPECT_EQ(result->rows_matched, first_rows);
+  EXPECT_EQ(second.pool_misses, 0u);
+  EXPECT_GT(second.pool_hits, 0u);
+  EXPECT_NE(second.ToText().find("  memory: pool-hits=" +
+                                 std::to_string(second.pool_hits) +
+                                 " pool-misses=0 minor-faults="),
+            std::string::npos)
+      << second.ToText();
+  EXPECT_NE(second.ToJson().find("\"memory\":{\"pool_hits\":"),
+            std::string::npos);
+}
+
+// Two managers' pipelines run at once on the one pool (the TSan suite runs
+// this binary); every answer stays exact.
+TEST(BufferPoolReuseTest, ConcurrentManagersShareThePool) {
+  const ScanRawOptions options = ExternalOptions(/*chunk_rows=*/500);
+  auto a = Fixture::Make("pool_shared_a", options);
+  auto b = Fixture::Make("pool_shared_b", options, /*rows=*/3000,
+                         /*cols=*/6);
+  std::vector<std::thread> clients;
+  std::vector<std::string> failures(2);
+  const auto run = [](Fixture* f, size_t cols, std::string* failure) {
+    for (int i = 0; i < 3; ++i) {
+      auto result = f->manager->Query("t", SumOfAll(cols));
+      if (!result.ok()) {
+        *failure = result.status().ToString();
+        return;
+      }
+      if (result->total_sum != f->info.total_sum) {
+        *failure = "wrong sum on pass " + std::to_string(i);
+        return;
+      }
+    }
+  };
+  clients.emplace_back(run, &a, 8, &failures[0]);
+  clients.emplace_back(run, &b, 6, &failures[1]);
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures[0], "");
+  EXPECT_EQ(failures[1], "");
 }
 
 // -------------------------------------------------- manager integration ---

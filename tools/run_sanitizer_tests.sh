@@ -47,7 +47,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 if [ "${#TESTS[@]}" -eq 0 ] && [ "${SAN}" = "tsan" ]; then
   TESTS=(pipeline_test scanraw_test scanraw_features_test scanraw_stress_test
          obs_test periodic_thread_test explain_test telemetry_test
-         chunk_cache_test
+         chunk_cache_test chunk_buffer_pool_test
          positional_map_cache_test
          query_log_test flight_recorder_test workload_test
          timeseries_test log_test watchdog_test stats_server_test

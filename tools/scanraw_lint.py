@@ -66,6 +66,13 @@ one-checksum     The 64-bit FNV prime (0x100000001b3) in src/ non-test code
                  outside db/sketches.cc. Persisted bytes are checksummed
                  with the one Crc32c (common/crc32c.h); FNV-1a stays only as
                  the KMV sketch's hash function.
+one-buffer-pool  Construction of a ChunkBufferPool (a declaration, new,
+                 make_shared/make_unique, or a temporary) in src/ non-test
+                 code outside scanraw/chunk_buffer_pool.{h,cc}. The pipeline
+                 shares the one process-wide ChunkBufferPool::Instance(), so
+                 a query on a new manager reuses the capacity the last one
+                 released; a private pool would fault its buffers in afresh
+                 and escape the pool's byte bound.
 
 Suppressions: append `// scanraw-lint: allow(<rule>)` to the offending line
 or place it on the line directly above.
@@ -157,6 +164,17 @@ JSON_DECODE_RE = re.compile(r"\bcase\s*'u'\s*:")
 # one-checksum: the FNV prime, in any case, with or without leading zeros.
 FNV_EXEMPT = ("db/sketches.cc",)
 FNV_PRIME_RE = re.compile(r"\b0[xX]0*100000001[bB]3(?![0-9a-fA-F])")
+
+# one-buffer-pool: new / make_shared / make_unique of the pool, a variable
+# declared by value, or a temporary (`ChunkBufferPool()` / `{}` not preceded
+# by `::`, which would be a member definition or Instance() call).
+BUFFER_POOL_EXEMPT = ("scanraw/chunk_buffer_pool.h",
+                      "scanraw/chunk_buffer_pool.cc")
+BUFFER_POOL_RE = re.compile(
+    r"\bnew\s+(?:scanraw::)?ChunkBufferPool\b"
+    r"|\bmake_(?:shared|unique)\s*<\s*(?:scanraw::)?ChunkBufferPool\s*>"
+    r"|(?<![\w:])(?:scanraw::)?ChunkBufferPool\s+(?!operator\b)\w+\s*[;({=]"
+    r"|(?<![\w:])(?:scanraw::)?ChunkBufferPool\s*(?:\(\s*\)|\{\s*\})")
 
 BYTE_LOOP_DIRS = ("src/format/", "src/scanraw/")
 # A `for` header that advances one element at a time.
@@ -476,6 +494,18 @@ def check_one_checksum(rel, lines, findings):
                              "persisted bytes with Crc32c (common/crc32c.h)"))
 
 
+def check_one_buffer_pool(rel, lines, findings):
+    if any(rel.replace(os.sep, "/").endswith(e) for e in BUFFER_POOL_EXEMPT):
+        return
+    for i, line in enumerate(lines):
+        if BUFFER_POOL_RE.search(strip_comments(line)) and \
+                not is_suppressed(lines, i, "one-buffer-pool"):
+            findings.append((rel, i + 1, "one-buffer-pool",
+                             "ChunkBufferPool constructed outside "
+                             "scanraw/chunk_buffer_pool; use the process-wide "
+                             "ChunkBufferPool::Instance()"))
+
+
 def is_test_file(rel):
     base = os.path.basename(rel)
     return ("test" in base) or ("/tests/" in rel.replace(os.sep, "/"))
@@ -502,6 +532,7 @@ def lint_file(path, findings):
         check_timed_wait(rel, lines, findings)
         check_json_decode(rel, lines, findings)
         check_one_checksum(rel, lines, findings)
+        check_one_buffer_pool(rel, lines, findings)
     check_unchecked_value(rel, lines, findings)
     if rel.endswith(".h"):
         check_include_guard(rel, lines, findings)
